@@ -3,9 +3,11 @@ package autoencoder
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/anomaly"
+	"repro/internal/nn"
 )
 
 // trainWeeks synthesises n smooth "normal" weeks of width dim.
@@ -46,43 +48,93 @@ func fittedModel(t testing.TB, bs int) *Model {
 	return m
 }
 
-// TestDetectBatchMatchesDetect pins the vectorised inference entry point to
-// the per-window path: identical verdicts, bit for bit (the equivalence
-// guarantee of the batched engine, well inside the 1e-9 budget).
-func TestDetectBatchMatchesDetect(t *testing.T) {
-	m := fittedModel(t, 1)
-	rng := rand.New(rand.NewSource(7))
-	weeks := trainWeeks(9, 84, rng)
-	// Make some windows anomalous so both verdict polarities are covered.
-	for i := 0; i < len(weeks); i += 3 {
-		weeks[i][10] += 4
-		weeks[i][11] += 4
+// referenceDetect is the per-sample detection path, kept here as the oracle
+// the batch kernels are pinned against: one Net.Forward over the window,
+// one Scorer.Score per point error, then Scorer.Judge.
+func referenceDetect(t testing.TB, m *Model, frames [][]float64) anomaly.Verdict {
+	t.Helper()
+	x := make([]float64, len(frames))
+	for i, f := range frames {
+		x[i] = f[0]
 	}
-	windows := make([][][]float64, len(weeks))
-	for i, w := range weeks {
-		windows[i] = toFrames(w)
-	}
-	got, err := m.DetectBatch(windows)
+	rec, err := m.Net.Forward(x, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sawAnomaly, sawNormal := false, false
-	for i, w := range windows {
-		want, err := m.Detect(w)
-		if err != nil {
+	scores := make([]float64, len(x))
+	for i := range x {
+		if scores[i], err = m.Scorer.Score([]float64{rec[i] - x[i]}); err != nil {
 			t.Fatal(err)
 		}
-		if got[i] != want {
-			t.Fatalf("window %d: batch verdict %+v vs per-window %+v", i, got[i], want)
-		}
-		if want.Anomaly {
-			sawAnomaly = true
-		} else {
-			sawNormal = true
-		}
 	}
-	if !sawAnomaly || !sawNormal {
-		t.Fatalf("test windows did not cover both verdicts (anomaly=%v normal=%v)", sawAnomaly, sawNormal)
+	return m.Scorer.Judge(scores, m.Conf)
+}
+
+// quantModes are the precision tiers every equivalence pin runs at.
+var quantModes = []struct {
+	name string
+	mode nn.QuantMode
+}{
+	{"f64", nn.QuantNone},
+	{"fp16", nn.QuantFP16},
+	{"int8", nn.QuantInt8},
+}
+
+// fittedModelAt is fittedModel quantized to mode.
+func fittedModelAt(t testing.TB, mode nn.QuantMode) *Model {
+	t.Helper()
+	m := fittedModel(t, 1)
+	if mode != nn.QuantNone {
+		m.QuantizeMode(mode)
+	}
+	return m
+}
+
+// TestDetectBatchMatchesDetect pins both inference entry points — the
+// vectorised DetectBatch and the batch-of-1 Detect — to the per-sample
+// reference: identical verdicts, bit for bit, at every precision tier.
+func TestDetectBatchMatchesDetect(t *testing.T) {
+	for _, q := range quantModes {
+		t.Run(q.name, func(t *testing.T) {
+			m := fittedModelAt(t, q.mode)
+			rng := rand.New(rand.NewSource(7))
+			weeks := trainWeeks(9, 84, rng)
+			// Make some windows anomalous so both verdict polarities are covered.
+			for i := 0; i < len(weeks); i += 3 {
+				weeks[i][10] += 4
+				weeks[i][11] += 4
+			}
+			windows := make([][][]float64, len(weeks))
+			for i, w := range weeks {
+				windows[i] = toFrames(w)
+			}
+			got, err := m.DetectBatch(windows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sawAnomaly, sawNormal := false, false
+			for i, w := range windows {
+				want := referenceDetect(t, m, w)
+				if got[i] != want {
+					t.Fatalf("window %d: batch verdict %+v vs per-sample reference %+v", i, got[i], want)
+				}
+				single, err := m.Detect(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if single != want {
+					t.Fatalf("window %d: Detect verdict %+v vs per-sample reference %+v", i, single, want)
+				}
+				if want.Anomaly {
+					sawAnomaly = true
+				} else {
+					sawNormal = true
+				}
+			}
+			if !sawAnomaly || !sawNormal {
+				t.Fatalf("test windows did not cover both verdicts (anomaly=%v normal=%v)", sawAnomaly, sawNormal)
+			}
+		})
 	}
 }
 
@@ -113,31 +165,67 @@ func TestFitMinibatchTrains(t *testing.T) {
 }
 
 // TestDetectAllUsesBatchPath checks the anomaly.DetectAll seam dispatches to
-// the autoencoder's DetectBatch and returns per-window-identical verdicts.
+// the autoencoder's DetectBatch and returns verdicts identical to the
+// per-sample reference at every precision tier.
 func TestDetectAllUsesBatchPath(t *testing.T) {
-	m := fittedModel(t, 1)
-	if _, ok := interface{}(m).(anomaly.BatchDetector); !ok {
-		t.Fatal("autoencoder.Model must implement anomaly.BatchDetector")
+	for _, q := range quantModes {
+		t.Run(q.name, func(t *testing.T) {
+			m := fittedModelAt(t, q.mode)
+			if _, ok := interface{}(m).(anomaly.BatchDetector); !ok {
+				t.Fatal("autoencoder.Model must implement anomaly.BatchDetector")
+			}
+			rng := rand.New(rand.NewSource(13))
+			weeks := trainWeeks(5, 84, rng)
+			windows := make([][][]float64, len(weeks))
+			for i, w := range weeks {
+				windows[i] = toFrames(w)
+			}
+			got, err := anomaly.DetectAll(m, windows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, w := range windows {
+				if want := referenceDetect(t, m, w); got[i] != want {
+					t.Fatalf("window %d diverges through DetectAll: %+v vs per-sample reference %+v", i, got[i], want)
+				}
+			}
+		})
 	}
-	rng := rand.New(rand.NewSource(13))
-	weeks := trainWeeks(5, 84, rng)
+}
+
+// TestDetectConcurrent shares one model across goroutines calling Detect at
+// once, as the serving plane's handlers do: every goroutine leases its own
+// pooled scratch, so all verdicts match the per-sample reference.
+func TestDetectConcurrent(t *testing.T) {
+	m := fittedModel(t, 1)
+	weeks := trainWeeks(6, 84, rand.New(rand.NewSource(23)))
 	windows := make([][][]float64, len(weeks))
+	want := make([]anomaly.Verdict, len(weeks))
 	for i, w := range weeks {
 		windows[i] = toFrames(w)
+		want[i] = referenceDetect(t, m, windows[i])
 	}
-	got, err := anomaly.DetectAll(m, windows)
-	if err != nil {
-		t.Fatal(err)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 20; rep++ {
+				for i, w := range windows {
+					got, err := m.Detect(w)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if got != want[i] {
+						t.Errorf("window %d: concurrent verdict %+v vs per-sample reference %+v", i, got, want[i])
+						return
+					}
+				}
+			}
+		}()
 	}
-	for i, w := range windows {
-		want, err := m.Detect(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i] != want {
-			t.Fatalf("window %d diverges through DetectAll", i)
-		}
-	}
+	wg.Wait()
 }
 
 func TestDetectBatchValidation(t *testing.T) {

@@ -267,11 +267,16 @@ func (sc *Scenario) start(start time.Time, windows *atomic.Int64) *scenarioRunne
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	go r.run()
+	// Wait for the timeline's first pass, so events already eligible
+	// (At 0, AfterWindows 0) are in place before the first window,
+	// however short the run.
+	firstPass := make(chan struct{})
+	go r.run(firstPass)
+	<-firstPass
 	return r
 }
 
-func (r *scenarioRunner) run() {
+func (r *scenarioRunner) run(firstPass chan<- struct{}) {
 	defer close(r.done)
 	events := make([]Event, len(r.sc.Events))
 	copy(events, r.sc.Events)
@@ -298,6 +303,12 @@ func (r *scenarioRunner) run() {
 			all = false
 		}
 		return all
+	}
+	allFired := pass()
+	close(firstPass)
+	if allFired {
+		r.err = errors.Join(errs...)
+		return
 	}
 	for {
 		select {

@@ -53,27 +53,6 @@ func (d *Deployment) RTTMs(layer Layer) (float64, error) {
 	return d.Topology.RTTMs(layer, d.PayloadKB)
 }
 
-// Detect runs detection at one layer and returns the verdict plus the
-// end-to-end delay (network round trip + execution).
-func (d *Deployment) Detect(layer Layer, frames [][]float64) (anomaly.Verdict, float64, error) {
-	if layer < 0 || layer >= NumLayers {
-		return anomaly.Verdict{}, 0, fmt.Errorf("hec: layer %d out of range", int(layer))
-	}
-	v, err := d.Detectors[layer].Detect(frames)
-	if err != nil {
-		return anomaly.Verdict{}, 0, fmt.Errorf("hec: detect at %v: %w", layer, err)
-	}
-	exec, err := d.ExecMs(layer, len(frames))
-	if err != nil {
-		return anomaly.Verdict{}, 0, err
-	}
-	rtt, err := d.RTTMs(layer)
-	if err != nil {
-		return anomaly.Verdict{}, 0, err
-	}
-	return v, rtt + exec, nil
-}
-
 // Outcome is a precomputed per-layer detection result for one sample.
 type Outcome struct {
 	Verdict anomaly.Verdict

@@ -151,19 +151,26 @@ func TestNewDeploymentValidation(t *testing.T) {
 	}
 }
 
-func TestDeploymentDetect(t *testing.T) {
+// TestDeploymentDelays pins the deployment's delay accessors: a cloud
+// window pays the two-hop RTT plus a positive execution time, and an
+// out-of-range layer is an error rather than a zero delay.
+func TestDeploymentDelays(t *testing.T) {
 	dep := testDeployment(t)
-	v, delay, err := dep.Detect(LayerCloud, [][]float64{{0.5}})
+	rtt, err := dep.RTTMs(LayerCloud)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v.Anomaly {
-		t.Fatal("cloud fake should flag 0.5")
+	if rtt != 500 {
+		t.Fatalf("cloud RTT = %g, want 500", rtt)
 	}
-	if delay <= 500 {
-		t.Fatalf("cloud delay %g should exceed the 500 ms RTT", delay)
+	exec, err := dep.ExecMs(LayerCloud, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := dep.Detect(Layer(9), [][]float64{{0}}); err == nil {
+	if exec <= 0 {
+		t.Fatalf("cloud exec %g should be positive", exec)
+	}
+	if _, err := dep.RTTMs(Layer(9)); err == nil {
 		t.Fatal("bad layer must error")
 	}
 }
