@@ -1,9 +1,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -21,10 +19,11 @@ import (
 // distSchema identifies the model-distribution snapshot layout.
 const distSchema = "hec-dist/1"
 
-// DistSnapshot is the machine-readable model-distribution comparison
-// (BENCH_10.json): the legacy gob snapshot transfer against the canonical
-// binary tensor codec, full fetches against one-tensor deltas, measured on
-// a real loopback server with the int8-quantized AE-Cloud the fleet ships.
+// DistSnapshot is the machine-readable model-distribution snapshot
+// (BENCH_10.json): the canonical tensor payload against a size bound
+// computed from the snapshot, full fetches against one-tensor deltas,
+// measured on a real loopback server with the int8-quantized AE-Cloud the
+// fleet ships.
 type DistSnapshot struct {
 	Schema     string `json:"schema"`
 	GoVersion  string `json:"go_version"`
@@ -39,29 +38,50 @@ type DistSnapshot struct {
 	Quantized  bool   `json:"quantized"`
 	ChunkBytes int    `json:"chunk_bytes"`
 
-	// Bytes on the wire. FullGobBytes is the legacy whole-snapshot gob
-	// payload; FullBinaryBytes the canonical tensor layout for the same
-	// model; DeltaBinaryBytes a one-tensor delta (header + the single
-	// changed tensor) against the previous version.
-	FullGobBytes     int `json:"full_gob_bytes"`
+	// Bytes on the wire. FullBinaryBytes is the canonical tensor payload
+	// of the whole model, gated in CI to at most FullBoundBytes (see
+	// payloadBound): the int8 panels must travel as one byte per value.
+	// DeltaBinaryBytes is a one-tensor delta (header + the single changed
+	// tensor) against the previous version.
 	FullBinaryBytes  int `json:"full_binary_bytes"`
+	FullBoundBytes   int `json:"full_bound_bytes"`
 	DeltaBinaryBytes int `json:"delta_binary_bytes"`
 	DeltaTensors     int `json:"delta_tensors"`
 
-	// Loopback latencies (best of several reps): the legacy gob fetch, the
-	// chunked binary fetch, and a version-probe + delta refresh.
-	LegacyFetchMs   float64 `json:"legacy_fetch_ms"`
+	// Loopback latencies (best of several reps): the chunked full fetch,
+	// and a version-probe + delta refresh.
 	ChunkedFetchMs  float64 `json:"chunked_fetch_ms"`
 	DeltaRefreshMs  float64 `json:"delta_refresh_ms"`
 	ProbeUpToDateMs float64 `json:"probe_up_to_date_ms"`
 
-	// FullFetchReduction is gob bytes over binary bytes for the whole
-	// snapshot — gated >= 3 in CI (the int8 panels gob ships as ~3.3-byte
-	// floats travel as ~1 byte each in the canonical layout).
-	// DeltaReduction is the full binary fetch over the one-tensor delta —
-	// gated >= 10 in CI: rolling one tensor must not cost a model.
-	FullFetchReduction float64 `json:"full_fetch_reduction"`
-	DeltaReduction     float64 `json:"delta_reduction"`
+	// DeltaReduction is the full fetch over the one-tensor delta — gated
+	// >= 10 in CI: rolling one tensor must not cost a model.
+	DeltaReduction float64 `json:"delta_reduction"`
+}
+
+// payloadBound is the most the canonical payload of an int8-quantized
+// snapshot may weigh: one byte per weight-matrix value plus one float64
+// scale per matrix row (the int8 panels), eight bytes per value of every
+// other tensor (full-precision biases), a header per tensor (its name with
+// a positional qualifier, two dims and a dtype byte) and the model header
+// (magic, layout version, kind, tier, input dim, flags, scorer state,
+// confidence rule and tensor count).
+func payloadBound(snap *transport.ModelSnapshot) int {
+	n := 4 + 1 + 4 + len(snap.Kind) + 4 + len(snap.Tier) + 4 + 1 + 1 + 8 + 8 + 4
+	if sc := snap.Scorer; sc != nil {
+		n += 4 + 8*len(sc.Mean) + 4 + 8*len(sc.Cov) + 8
+	}
+	w := snap.Weights
+	for i, name := range w.Names {
+		rows, cols := w.Shapes[i][0], w.Shapes[i][1]
+		n += 4 + len(name) + len(fmt.Sprintf("@%d", i)) + 4 + 4 + 1
+		if rows > 1 && cols > 1 {
+			n += rows * (8 + cols)
+		} else {
+			n += 8 * rows * cols
+		}
+	}
+	return n
 }
 
 // distModel builds the detector the distribution bench ships: an AE-Cloud
@@ -122,12 +142,8 @@ func runDistBench(path string, fast bool) error {
 		return fmt.Errorf("dist bench: %w", err)
 	}
 
-	// Byte counts: the legacy path gob-encodes the whole snapshot; the
-	// distribution path ships the canonical tensor layout, chunked.
-	var gobBuf bytes.Buffer
-	if err := gob.NewEncoder(&gobBuf).Encode(snap); err != nil {
-		return fmt.Errorf("dist bench: gob: %w", err)
-	}
+	// Byte counts: the distribution path ships the canonical tensor
+	// layout, chunked.
 	payload, err := transport.EncodeModel(snap, nil)
 	if err != nil {
 		return fmt.Errorf("dist bench: %w", err)
@@ -165,15 +181,14 @@ func runDistBench(path string, fast bool) error {
 		InputDim: snap.InputDim, Params: m.NumParams(),
 		Tensors: len(snap.Weights.Values), Quantized: snap.Quantized,
 		ChunkBytes:       transport.DefaultModelChunkBytes,
-		FullGobBytes:     gobBuf.Len(),
 		FullBinaryBytes:  len(payload),
+		FullBoundBytes:   payloadBound(snap),
 		DeltaBinaryBytes: len(delta),
 		DeltaTensors:     len(want),
 	}
-	out.FullFetchReduction = float64(out.FullGobBytes) / float64(out.FullBinaryBytes)
 	out.DeltaReduction = float64(out.FullBinaryBytes) / float64(out.DeltaBinaryBytes)
 
-	// Loopback latencies against a real server, old wire format vs new.
+	// Loopback latencies against a real server.
 	srv, err := transport.ServeWith("127.0.0.1:0", m, transport.ServerOptions{Model: snap})
 	if err != nil {
 		return fmt.Errorf("dist bench: %w", err)
@@ -188,12 +203,6 @@ func runDistBench(path string, fast bool) error {
 
 	fmt.Fprintf(os.Stderr, "hecbench: model distribution on %s (%d params, int8), %d reps per path...\n",
 		m.Name(), m.NumParams(), reps)
-	if out.LegacyFetchMs, err = timeBest(reps, func() error {
-		_, err := cli.FetchModelFullContext(ctx)
-		return err
-	}); err != nil {
-		return fmt.Errorf("dist bench: legacy fetch: %w", err)
-	}
 	if out.ChunkedFetchMs, err = timeBest(reps, func() error {
 		_, err := cli.FetchModelContext(ctx)
 		return err
@@ -225,11 +234,10 @@ func runDistBench(path string, fast bool) error {
 		return fmt.Errorf("dist bench: delta refresh: %w", err)
 	}
 
-	fmt.Fprintf(os.Stderr, "  full: gob %d B vs binary %d B (%.2fx)  delta: %d B over %d tensor(s) (%.1fx vs full)\n",
-		out.FullGobBytes, out.FullBinaryBytes, out.FullFetchReduction,
-		out.DeltaBinaryBytes, out.DeltaTensors, out.DeltaReduction)
-	fmt.Fprintf(os.Stderr, "  latency: legacy %.2fms  chunked %.2fms  delta %.2fms  probe %.3fms\n",
-		out.LegacyFetchMs, out.ChunkedFetchMs, out.DeltaRefreshMs, out.ProbeUpToDateMs)
+	fmt.Fprintf(os.Stderr, "  full: %d B (bound %d B)  delta: %d B over %d tensor(s) (%.1fx vs full)\n",
+		out.FullBinaryBytes, out.FullBoundBytes, out.DeltaBinaryBytes, out.DeltaTensors, out.DeltaReduction)
+	fmt.Fprintf(os.Stderr, "  latency: chunked %.2fms  delta %.2fms  probe %.3fms\n",
+		out.ChunkedFetchMs, out.DeltaRefreshMs, out.ProbeUpToDateMs)
 
 	enc, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {

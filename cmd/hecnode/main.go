@@ -11,7 +11,8 @@
 //     RPC) — so a fleet trains exactly once.
 //
 // Every node serves its own model snapshot to peers, and -save writes the
-// artifact to disk for later -load runs. A -fetch node can additionally
+// content-addressed artifact (canonical payload plus its SHA-256) to disk
+// for later -load runs, which verify the digest before serving. A -fetch node can additionally
 // -watch the peer: it polls the peer's model version (a cheap
 // content-address probe) and, whenever the peer rolls to a new model,
 // pulls the changed tensors as a delta update and hot-swaps its serving
@@ -112,7 +113,7 @@ func run(layerName, data, addr string, seed int64, save, load, fetch string, wat
 		if err != nil {
 			return err
 		}
-		fmt.Printf("loaded %s/%s model from %s (no training)\n", snap.Kind, snap.Tier, load)
+		fmt.Printf("loaded %s/%s model %s from %s (digest verified, no training)\n", snap.Kind, snap.Tier, contentAddress(snap), load)
 	case fetch != "":
 		cli, err := transport.Dial(fetch, 0)
 		if err != nil {
@@ -151,7 +152,7 @@ func run(layerName, data, addr string, seed int64, save, load, fetch string, wat
 		if err := cluster.SaveModel(save, snap); err != nil {
 			return err
 		}
-		fmt.Printf("saved model artifact to %s\n", save)
+		fmt.Printf("saved model artifact %s to %s\n", contentAddress(snap), save)
 	}
 
 	execMs, err := hec.DefaultTopology().ExecTimeFunc(l, det, recurrent)
@@ -277,6 +278,16 @@ func watchPeer(done <-chan struct{}, peer string, l hec.Layer, srv *transport.Se
 		fmt.Printf("hecnode: watch: hot-swapped to model version %.8s from %s (zero restarts)\n",
 			srv.ModelVersion(), peer)
 	}
+}
+
+// contentAddress is the snapshot's model version: the hex SHA-256 of its
+// canonical payload, the same address peers probe on the wire.
+func contentAddress(snap *transport.ModelSnapshot) string {
+	man, err := transport.ManifestOf(snap)
+	if err != nil {
+		return "(unaddressable: " + err.Error() + ")"
+	}
+	return man.Version
 }
 
 func parseLayer(s string) (hec.Layer, error) {

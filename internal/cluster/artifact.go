@@ -1,7 +1,8 @@
 package cluster
 
 import (
-	"encoding/gob"
+	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"os"
@@ -16,7 +17,7 @@ import (
 // Model-shipping artifacts: a trained detector is captured as a
 // transport.ModelSnapshot (nn.Snapshot weights + scorer state + metadata),
 // which can be written to disk (-save/-load on hecnode), served to peers
-// over the OpFetchModel RPC, and rebuilt into a working detector with
+// over the model-distribution ops, and rebuilt into a working detector with
 // RestoreDetector. The snapshot carries values only; architecture always
 // comes from the package builders, so a restore fails loudly on any shape
 // mismatch rather than silently loading a different model.
@@ -116,28 +117,50 @@ func RestoreDetector(snap *transport.ModelSnapshot) (anomaly.Detector, bool, err
 	}
 }
 
-// SaveModel writes a snapshot to path in the same gob format the wire uses.
+// SaveModel writes a snapshot to path as a content-addressed artifact: the
+// canonical model payload the wire ships (transport.EncodeModel) followed
+// by its 32-byte SHA-256, the raw form of the model's version
+// (transport.ManifestOf(snap).Version).
 func SaveModel(path string, snap *transport.ModelSnapshot) error {
+	payload, err := transport.EncodeModel(snap, nil)
+	if err != nil {
+		return fmt.Errorf("cluster: encoding model for %s: %w", path, err)
+	}
+	sum := sha256.Sum256(payload)
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("cluster: creating model file: %w", err)
 	}
-	defer f.Close()
-	if err := gob.NewEncoder(f).Encode(snap); err != nil {
-		return fmt.Errorf("cluster: encoding model to %s: %w", path, err)
+	_, err = f.Write(append(payload, sum[:]...))
+	if err == nil {
+		err = f.Sync()
 	}
-	return f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("cluster: writing model to %s: %w", path, err)
+	}
+	return nil
 }
 
-// LoadModel reads a snapshot previously written with SaveModel.
+// LoadModel reads an artifact written by SaveModel. The payload must hash
+// to the digest stored after it, so a corrupt or truncated file fails
+// before any byte of it is trusted.
 func LoadModel(path string) (*transport.ModelSnapshot, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: opening model file: %w", err)
 	}
-	defer f.Close()
-	snap := new(transport.ModelSnapshot)
-	if err := gob.NewDecoder(f).Decode(snap); err != nil {
+	if len(b) < sha256.Size {
+		return nil, fmt.Errorf("cluster: model file %s is %d bytes, too short for an artifact", path, len(b))
+	}
+	payload, stored := b[:len(b)-sha256.Size], b[len(b)-sha256.Size:]
+	if sum := sha256.Sum256(payload); !bytes.Equal(sum[:], stored) {
+		return nil, fmt.Errorf("cluster: model file %s does not match its content address (corrupt or truncated)", path)
+	}
+	snap, err := transport.DecodeModel(payload)
+	if err != nil {
 		return nil, fmt.Errorf("cluster: decoding model from %s: %w", path, err)
 	}
 	return snap, nil

@@ -2,12 +2,14 @@ package cluster
 
 import (
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/anomaly"
 	"repro/internal/autoencoder"
 	"repro/internal/seq2seq"
+	"repro/internal/transport"
 )
 
 // trainTinyAE fits a small real autoencoder so snapshots carry a genuine
@@ -85,6 +87,57 @@ func TestAutoencoderArtifactRoundTrip(t *testing.T) {
 		}
 		if got != want {
 			t.Fatalf("window %d: restored verdict %+v, want %+v", i, got, want)
+		}
+	}
+}
+
+// TestArtifactContentAddressed pins the on-disk artifact: a save/load
+// round trip keeps the content address, and a file with one flipped byte
+// (in the payload or in the stored digest) or cut short fails to load.
+func TestArtifactContentAddressed(t *testing.T) {
+	m := trainTinyAE(t, autoencoder.TierIoT)
+	m.Quantize()
+	snap, err := SnapshotDetector(m, "IoT", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := transport.ManifestOf(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "iot.model")
+	if err := SaveModel(path, snap); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadModel(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := transport.ManifestOf(loaded); err != nil || got.Version != want.Version {
+		t.Fatalf("round trip changed the version: %v, %v", got, err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := filepath.Join(dir, "bad.model")
+	for _, at := range []int{0, len(good) / 2, len(good) - 1} {
+		flipped := append([]byte(nil), good...)
+		flipped[at] ^= 0x10
+		if err := os.WriteFile(bad, flipped, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadModel(bad); err == nil {
+			t.Fatalf("a file with byte %d of %d flipped loaded", at, len(good))
+		}
+	}
+	for _, n := range []int{0, 31, len(good) - 1} {
+		if err := os.WriteFile(bad, good[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadModel(bad); err == nil {
+			t.Fatalf("a file truncated to %d of %d bytes loaded", n, len(good))
 		}
 	}
 }

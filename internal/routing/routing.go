@@ -48,8 +48,8 @@ type Config struct {
 	// replicas start unhealthy and are re-probed by the health checker and
 	// by failover attempts.
 	Addrs []string
-	// Dial is applied to every connection (injected one-way delay, codec
-	// policy, serial mode).
+	// Dial is applied to every connection (injected one-way delay, serial
+	// mode).
 	Dial transport.DialOptions
 	// PoolSize is the number of pipelined connections per replica (< 1
 	// means 1).
@@ -626,98 +626,40 @@ func (s *ReplicaSet) DetectBatch(windows [][][]float64) (transport.BatchResult, 
 	return s.DetectBatchContext(context.Background(), windows)
 }
 
-// FetchModelContext fetches the model snapshot from any healthy replica —
-// chunk by chunk when the fleet speaks the distribution protocol, so a
-// replica dying mid-transfer costs one failed chunk, not the transfer: the
-// next chunk resumes at the same byte offset on another replica serving
-// the same content-addressed version. It is RefreshModelContext with no
-// base snapshot.
+// FetchModelContext fetches the model snapshot from any healthy replica,
+// chunk by chunk, so a replica dying mid-transfer costs one failed chunk,
+// not the transfer: the next chunk resumes at the same byte offset on
+// another replica serving the same content-addressed version. It is
+// RefreshModelContext with no base snapshot.
 func (s *ReplicaSet) FetchModelContext(ctx context.Context) (*transport.ModelSnapshot, error) {
 	snap, _, err := s.RefreshModelContext(ctx, nil)
 	return snap, err
 }
 
-// RefreshModelContext is the version-aware fetch across the replica set:
-// probe any healthy replica for its model's content address, skip the
-// download when base already matches (upToDate true), otherwise ship a
-// delta of the changed tensors (or the full payload) in bounded chunks.
-// Every chunk rides the set's ordinary failover path, so the transfer
-// resumes on another replica if the serving one dies mid-stream; a version
-// swap mid-transfer (the fleet is rolling to a newer model) restarts from
-// a fresh probe. The result is hash-verified against the advertised
-// version before it is returned. Fleets that predate the distribution ops
-// degrade to the legacy whole-snapshot fetch with the same failover.
+// RefreshModelContext is the version-aware fetch (transport.RefreshModel)
+// across the replica set: the version probe and every chunk ride the set's
+// ordinary failover path, so the transfer resumes on another replica if
+// the serving one dies mid-stream.
 func (s *ReplicaSet) RefreshModelContext(ctx context.Context, base *transport.ModelSnapshot) (*transport.ModelSnapshot, bool, error) {
-	var baseMan *transport.ModelManifest
-	if base != nil {
-		if m, err := transport.ManifestOf(base); err == nil {
-			baseMan = m
-		}
-	}
-	for attempt := 0; attempt < 3; attempt++ {
+	probe := func(ctx context.Context) (*transport.ModelManifest, error) {
 		var man *transport.ModelManifest
 		err := s.do(ctx, func(p *transport.Pool) error {
-			var e error
-			man, e = p.ModelManifestContext(ctx)
-			return e
+			var err error
+			man, err = p.ModelManifestContext(ctx)
+			return err
 		})
-		if errors.Is(err, transport.ErrUnsupported) {
-			// Old fleet: the probe was the negotiation; fall back to the
-			// legacy full fetch, still failover-protected.
-			var snap *transport.ModelSnapshot
-			err := s.do(ctx, func(p *transport.Pool) error {
-				var e error
-				snap, e = p.FetchModelFullContext(ctx)
-				return e
-			})
-			return snap, false, err
-		}
-		if err != nil {
-			return nil, false, err
-		}
-		if baseMan != nil && baseMan.Version == man.Version {
-			return nil, true, nil
-		}
-		want := man.Diff(baseMan)
-		wantDelta := baseMan != nil
-		payload, version, err := transport.AssembleModel(ctx, func(ctx context.Context, off int) (transport.ModelChunk, error) {
-			var ch transport.ModelChunk
-			err := s.do(ctx, func(p *transport.Pool) error {
-				var e error
-				ch, e = p.ModelChunkContext(ctx, off, 0, want, wantDelta)
-				return e
-			})
-			return ch, err
-		})
-		if errors.Is(err, transport.ErrModelChanged) || (err == nil && version != man.Version) {
-			continue // the fleet rolled to a newer version mid-fetch; re-probe
-		}
-		if err != nil {
-			return nil, false, err
-		}
-		snap, err := transport.DecodeModel(payload)
-		if err != nil {
-			return nil, false, err
-		}
-		if wantDelta {
-			if merged, mergeErr := transport.MergeModel(base, snap); mergeErr == nil {
-				if m2, err := transport.ManifestOf(merged); err == nil && m2.Version == man.Version {
-					return merged, false, nil
-				}
-			}
-			// The delta doesn't reconstruct the advertised version: base
-			// and fleet disagree structurally (architecture change). Retry
-			// as a full fetch.
-			baseMan = nil
-			continue
-		}
-		if m2, err := transport.ManifestOf(snap); err != nil || m2.Version != man.Version {
-			return nil, false, fmt.Errorf("routing: fetched model does not hash to advertised version %.8s (%w)",
-				man.Version, transport.ErrRemote)
-		}
-		return snap, false, nil
+		return man, err
 	}
-	return nil, false, fmt.Errorf("routing: model version kept changing during refresh: %w", transport.ErrModelChanged)
+	chunk := func(ctx context.Context, offset, size int, want []string, wantDelta bool) (transport.ModelChunk, error) {
+		var ch transport.ModelChunk
+		err := s.do(ctx, func(p *transport.Pool) error {
+			var err error
+			ch, err = p.ModelChunkContext(ctx, offset, size, want, wantDelta)
+			return err
+		})
+		return ch, err
+	}
+	return transport.RefreshModel(ctx, base, probe, chunk)
 }
 
 // PolicyName returns the routing policy's name.

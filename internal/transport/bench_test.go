@@ -60,36 +60,28 @@ func BenchmarkPipelinedClient(b *testing.B) {
 	benchThroughput(b, false, 2*time.Millisecond)
 }
 
-// benchCodec measures one full hot-RPC codec cycle on the canonical
-// BenchBatch workload (shared with hecbench's BENCH_N.json snapshot):
-// encode the batch request, decode it server-side, encode the batch
-// response, decode it client-side.
-func benchCodec(b *testing.B, c FrameCodec) {
-	b.Helper()
+// BenchmarkCodecRoundTrip measures one full hot-RPC codec cycle on the
+// canonical BenchBatch workload (shared with hecbench's BENCH_N.json
+// snapshot): encode the batch request, decode it server-side, encode the
+// batch response, decode it client-side.
+func BenchmarkCodecRoundTrip(b *testing.B) {
 	req, resp := BenchBatch(16)
 	var reqBuf, respBuf []byte
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		if reqBuf, err = c.AppendRequest(reqBuf[:0], req); err != nil {
+		if reqBuf, err = AppendRequest(reqBuf[:0], req); err != nil {
 			b.Fatal(err)
 		}
-		if err := c.DecodeRequest(reqBuf, new(DetectRequest)); err != nil {
+		if err := DecodeRequest(reqBuf, new(DetectRequest)); err != nil {
 			b.Fatal(err)
 		}
-		if respBuf, err = c.AppendResponse(respBuf[:0], resp); err != nil {
+		if respBuf, err = AppendResponse(respBuf[:0], req.Op, resp); err != nil {
 			b.Fatal(err)
 		}
-		if err := c.DecodeResponse(respBuf, new(DetectResponse)); err != nil {
+		if err := DecodeResponse(respBuf, req.Op, new(DetectResponse)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-// BenchmarkCodecGob is the reflection-based baseline on the OpDetectBatch
-// round trip (batch 16).
-func BenchmarkCodecGob(b *testing.B) { benchCodec(b, GobCodec) }
-
-// BenchmarkCodecBinary is the hand-rolled codec on the same round trip;
-// the serving-plane acceptance bar is ≥ 2× over gob.
-func BenchmarkCodecBinary(b *testing.B) { benchCodec(b, BinaryCodec) }

@@ -8,218 +8,231 @@ import (
 	"repro/internal/anomaly"
 )
 
-// The pluggable wire codec. Every frame's payload is produced by a
-// FrameCodec; which codec a connection uses per frame is carried in the
-// frame header (see the high bit of the length prefix in frame.go), and
-// which codecs a peer accepts is negotiated once per connection with
-// OpHello. Two codecs exist:
+// The wire codec: one hand-rolled little-endian layout per operation, with
+// zero reflection. Encoding appends into a caller-supplied buffer (zero
+// steady-state allocations); decoding reads float64s straight out of the
+// wire buffer into one backing array per window. Every frame payload opens
+// with the same envelope — the protocol version byte and the request ID,
+// plus, on requests, the op and the propagated deadline — and the body
+// layout is selected by the op. Responses do not repeat the op: the client
+// records each pending request's op and decodes the response body by it,
+// which keeps the hot detection frames as small as they can be.
 //
-//   - GobCodec (codec version 1): encoding/gob, the original format. It
-//     handles every operation — it is the only codec that can carry a
-//     ModelSnapshot — and remains the negotiated fallback, so old peers
-//     interoperate.
-//   - BinaryCodec (codec version 2): a hand-rolled little-endian layout for
-//     the hot RPCs (OpDetect / OpDetectBatch and their responses). Encoding
-//     appends into a caller-supplied buffer with zero reflection and zero
-//     steady-state allocations; decoding reads float64s straight out of the
-//     wire buffer into a single backing array per message. It refuses
-//     OpFetchModel (and any response carrying a Model) by design.
-//
-// The binary layouts are documented byte-for-byte in docs/PROTOCOL.md; a
-// property-style test pins BinaryCodec round trips to gob round trips.
+// The layouts are documented byte-for-byte in docs/PROTOCOL.md; property
+// tests pin decode(encode(x)) == x bit for bit for every op, and native
+// fuzz targets pin that hostile payloads fail cleanly.
 
-// Codec version numbers carried in the OpHello handshake.
-const (
-	// CodecVersionGob identifies the gob-only protocol spoken by peers that
-	// predate negotiation (and by peers configured to refuse the binary
-	// codec).
-	CodecVersionGob = 1
-	// CodecVersionBinary identifies the binary fast path for hot RPCs; gob
-	// still carries OpHello, OpFetchModel and model responses.
-	CodecVersionBinary = 2
-	// CodecVersionTensor adds the model-distribution generation on top of
-	// CodecVersionBinary: the canonical binary tensor layout for model
-	// payloads (modelcodec.go), the OpModelVersion content-address probe
-	// and the chunked, resumable OpModelChunk transfer. The chunk frames
-	// themselves still travel as gob (they are provisioning traffic, not a
-	// hot RPC; the win is the tensor payload inside them), so this version
-	// gates only whether the peer understands the two new ops — and even
-	// that is advisory: an un-negotiated probe degrades through the
-	// "unknown op" reply exactly like OpHello and OpCancel before it.
-	CodecVersionTensor = 3
-)
-
-// FrameCodec turns requests and responses into frame payloads and back.
-// Append* follow the append convention: they extend dst (which may be nil
-// or a recycled buffer) and return the extended slice, so steady-state
-// encoding costs no allocations.
-type FrameCodec interface {
-	// Name identifies the codec in logs and benchmarks.
-	Name() string
-	// AppendRequest appends req's payload encoding to dst.
-	AppendRequest(dst []byte, req *DetectRequest) ([]byte, error)
-	// DecodeRequest decodes a payload produced by AppendRequest into req.
-	DecodeRequest(payload []byte, req *DetectRequest) error
-	// AppendResponse appends resp's payload encoding to dst.
-	AppendResponse(dst []byte, resp *DetectResponse) ([]byte, error)
-	// DecodeResponse decodes a payload produced by AppendResponse into resp.
-	DecodeResponse(payload []byte, resp *DetectResponse) error
-}
-
-// GobCodec is the reflection-based gob codec, protocol version 1. It
-// handles every operation including model shipping.
-var GobCodec FrameCodec = gobCodec{}
-
-// BinaryCodec is the allocation-free binary codec, protocol version 2,
-// for the hot detection RPCs only.
-var BinaryCodec FrameCodec = binaryCodec{}
-
-// gobCodec adapts the package's gob encode/decode helpers to FrameCodec.
-type gobCodec struct{}
-
-func (gobCodec) Name() string { return "gob" }
-
-func (gobCodec) AppendRequest(dst []byte, req *DetectRequest) ([]byte, error) {
-	return appendGob(dst, req)
-}
-
-func (gobCodec) DecodeRequest(payload []byte, req *DetectRequest) error {
-	return decodeGob(payload, req)
-}
-
-func (gobCodec) AppendResponse(dst []byte, resp *DetectResponse) ([]byte, error) {
-	return appendGob(dst, resp)
-}
-
-func (gobCodec) DecodeResponse(payload []byte, resp *DetectResponse) error {
-	return decodeGob(payload, resp)
-}
-
-// binaryCodec implements the version-2 layout. All integers are
-// little-endian; floats are IEEE-754 bit patterns (bit-exact round trips,
-// including -0, NaN payloads and the zero floats gob encodes specially).
-type binaryCodec struct{}
-
-func (binaryCodec) Name() string { return "binary" }
-
-func (binaryCodec) AppendRequest(dst []byte, req *DetectRequest) ([]byte, error) {
-	switch req.Op {
-	case OpDetect, OpDetectBatch:
-	default:
-		return dst, fmt.Errorf("transport: binary codec cannot carry op %d", req.Op)
-	}
-	dst = append(dst, CodecVersionBinary)
-	dst = appendU64(dst, req.ID)
-	dst = append(dst, byte(req.Op))
-	dst = appendU64(dst, uint64(req.DeadlineUnixMicro))
-	if req.Op == OpDetect {
-		return appendFrames(dst, req.Frames), nil
-	}
-	dst = appendU32(dst, uint32(len(req.Windows)))
-	for _, w := range req.Windows {
-		dst = appendFrames(dst, w)
-	}
-	return dst, nil
-}
-
-func (binaryCodec) DecodeRequest(payload []byte, req *DetectRequest) error {
-	cur := cursor{b: payload}
-	if v := cur.u8(); v != CodecVersionBinary {
-		return fmt.Errorf("transport: binary request has codec version %d, want %d", v, CodecVersionBinary)
-	}
-	req.ID = cur.u64()
-	req.Op = Op(cur.u8())
-	req.DeadlineUnixMicro = int64(cur.u64())
-	req.Frames, req.Windows = nil, nil
-	switch req.Op {
-	case OpDetect:
-		req.Frames = cur.frames()
-	case OpDetectBatch:
-		n := cur.cnt()
-		if cur.err == nil && n > 0 {
-			if n > cur.remaining()/4 {
-				cur.fail("window count %d exceeds payload", n)
-			} else {
-				ws := make([][][]float64, n)
-				for i := range ws {
-					ws[i] = cur.frames()
-				}
-				req.Windows = ws
-			}
-		}
-	default:
-		return fmt.Errorf("transport: binary request carries op %d", req.Op)
-	}
-	return cur.finish("request")
-}
-
-func (binaryCodec) AppendResponse(dst []byte, resp *DetectResponse) ([]byte, error) {
-	if resp.Model != nil {
-		return dst, fmt.Errorf("transport: binary codec cannot carry a model snapshot")
-	}
-	if resp.Sched != nil {
-		// Scheduling backlog rides only on hello responses, which always
-		// travel as gob; refusing it here keeps the binary layout frozen.
-		return dst, fmt.Errorf("transport: binary codec cannot carry scheduler info")
-	}
-	dst = append(dst, CodecVersionBinary)
-	dst = appendU64(dst, resp.ID)
-	dst = appendVerdict(dst, resp.Verdict)
-	dst = appendF64(dst, resp.ExecMs)
-	dst = appendF64(dst, resp.ProcMs)
-	dst = appendStr(dst, resp.Err)
-	dst = appendStr(dst, resp.Code)
-	dst = appendU32(dst, uint32(len(resp.Verdicts)))
-	for _, v := range resp.Verdicts {
-		dst = appendVerdict(dst, v)
-	}
-	dst = appendU32(dst, uint32(len(resp.ExecMsEach)))
-	for _, e := range resp.ExecMsEach {
-		dst = appendF64(dst, e)
-	}
-	return dst, nil
-}
-
-func (binaryCodec) DecodeResponse(payload []byte, resp *DetectResponse) error {
-	cur := cursor{b: payload}
-	if v := cur.u8(); v != CodecVersionBinary {
-		return fmt.Errorf("transport: binary response has codec version %d, want %d", v, CodecVersionBinary)
-	}
-	*resp = DetectResponse{}
-	resp.ID = cur.u64()
-	resp.Verdict = cur.verdict()
-	resp.ExecMs = cur.f64()
-	resp.ProcMs = cur.f64()
-	resp.Err = cur.str()
-	resp.Code = cur.str()
-	if n := cur.cnt(); cur.err == nil && n > 0 {
-		if n > cur.remaining()/verdictWireBytes {
-			cur.fail("verdict count %d exceeds payload", n)
-		} else {
-			vs := make([]anomaly.Verdict, n)
-			for i := range vs {
-				vs[i] = cur.verdict()
-			}
-			resp.Verdicts = vs
-		}
-	}
-	if n := cur.cnt(); cur.err == nil && n > 0 {
-		if n > cur.remaining()/8 {
-			cur.fail("exec-time count %d exceeds payload", n)
-		} else {
-			es := make([]float64, n)
-			for i := range es {
-				es[i] = cur.f64()
-			}
-			resp.ExecMsEach = es
-		}
-	}
-	return cur.finish("response")
-}
+// ProtocolVersion is the wire protocol this build speaks. It leads every
+// frame, and the OpHello handshake refuses a peer that speaks any other
+// version. The hello envelope (version byte, request ID, op byte) is the
+// one layout every version must keep, so a mismatched peer is told which
+// version it met instead of tripping over an undecodable frame. Versions
+// 1–3 are not reused: they named earlier wire generations.
+const ProtocolVersion = 4
 
 // verdictWireBytes is the encoded size of one anomaly.Verdict: a flag byte
 // plus two float64s.
 const verdictWireBytes = 1 + 8 + 8
+
+// AppendRequest appends req's frame payload to dst and returns the extended
+// slice. The version byte is always ProtocolVersion (req.Version is a
+// decode-side field).
+func AppendRequest(dst []byte, req *DetectRequest) ([]byte, error) {
+	dst = append(dst, ProtocolVersion)
+	dst = appendU64(dst, req.ID)
+	dst = append(dst, byte(req.Op))
+	dst = appendU64(dst, uint64(req.DeadlineUnixMicro))
+	switch req.Op {
+	case OpDetect:
+		dst = appendFrames(dst, req.Frames)
+	case OpDetectBatch:
+		dst = appendU32(dst, uint32(len(req.Windows)))
+		for _, w := range req.Windows {
+			dst = appendFrames(dst, w)
+		}
+	case OpHello, OpModelVersion:
+	case OpCancel:
+		dst = appendU64(dst, req.TargetID)
+	case OpModelChunk:
+		dst = appendU64(dst, uint64(req.ChunkOffset))
+		dst = appendU64(dst, uint64(req.ChunkSize))
+		dst = appendBool(dst, req.WantDelta)
+		dst = appendU32(dst, uint32(len(req.WantTensors)))
+		for _, name := range req.WantTensors {
+			dst = appendStr(dst, name)
+		}
+	default:
+		return dst, fmt.Errorf("transport: cannot encode op %d", req.Op)
+	}
+	return dst, nil
+}
+
+// DecodeRequest decodes a payload produced by AppendRequest into req. A
+// hello from a peer on another protocol version decodes to its envelope
+// alone (req.Version tells the server whom it met); any other frame of a
+// foreign version is an error.
+func DecodeRequest(payload []byte, req *DetectRequest) error {
+	cur := cursor{b: payload}
+	*req = DetectRequest{Version: cur.u8(), ID: cur.u64(), Op: Op(cur.u8()), DeadlineUnixMicro: int64(cur.u64())}
+	if cur.err == nil && req.Version != ProtocolVersion {
+		if req.Op == OpHello {
+			return nil
+		}
+		return fmt.Errorf("transport: request has protocol version %d, want %d", req.Version, ProtocolVersion)
+	}
+	switch req.Op {
+	case OpDetect:
+		req.Frames = cur.frames()
+	case OpDetectBatch:
+		if n := cur.count(4, "window"); n > 0 {
+			req.Windows = make([][][]float64, n)
+			for i := range req.Windows {
+				req.Windows[i] = cur.frames()
+			}
+		}
+	case OpHello, OpModelVersion:
+	case OpCancel:
+		req.TargetID = cur.u64()
+	case OpModelChunk:
+		req.ChunkOffset = int(int64(cur.u64()))
+		req.ChunkSize = int(int64(cur.u64()))
+		req.WantDelta = cur.u8() != 0
+		if n := cur.count(4, "tensor"); n > 0 {
+			req.WantTensors = make([]string, n)
+			for i := range req.WantTensors {
+				req.WantTensors[i] = cur.str()
+			}
+		}
+	default:
+		cur.fail("unknown op %d", req.Op)
+	}
+	return cur.finish("request")
+}
+
+// AppendResponse appends resp's frame payload, in the layout of the request
+// op it answers, to dst and returns the extended slice.
+func AppendResponse(dst []byte, op Op, resp *DetectResponse) ([]byte, error) {
+	dst = append(dst, ProtocolVersion)
+	dst = appendU64(dst, resp.ID)
+	switch op {
+	case OpDetect, OpDetectBatch:
+		dst = appendVerdict(dst, resp.Verdict)
+		dst = appendF64(dst, resp.ExecMs)
+		dst = appendF64(dst, resp.ProcMs)
+		dst = appendStr(dst, resp.Err)
+		dst = appendStr(dst, resp.Code)
+		dst = appendU32(dst, uint32(len(resp.Verdicts)))
+		for _, v := range resp.Verdicts {
+			dst = appendVerdict(dst, v)
+		}
+		dst = appendU32(dst, uint32(len(resp.ExecMsEach)))
+		for _, e := range resp.ExecMsEach {
+			dst = appendF64(dst, e)
+		}
+		return dst, nil
+	case OpHello, OpModelVersion, OpModelChunk:
+	default:
+		return dst, fmt.Errorf("transport: cannot encode a response to op %d", op)
+	}
+	dst = appendStr(dst, resp.Err)
+	dst = appendStr(dst, resp.Code)
+	dst = appendStr(dst, resp.ModelVersion)
+	switch op {
+	case OpHello:
+		dst = appendBool(dst, resp.Sched != nil)
+		if s := resp.Sched; s != nil {
+			dst = appendU64(dst, uint64(s.QueueDepth))
+			dst = appendU64(dst, s.Busy)
+			dst = appendU64(dst, s.Expired)
+			dst = appendU64(dst, s.Canceled)
+		}
+	case OpModelVersion:
+		dst = appendBool(dst, resp.Manifest != nil)
+		if m := resp.Manifest; m != nil {
+			dst = appendStr(dst, m.Version)
+			dst = appendU32(dst, uint32(len(m.Tensors)))
+			for _, t := range m.Tensors {
+				dst = appendStr(dst, t.Name)
+				dst = appendStr(dst, t.Digest)
+				dst = appendU64(dst, uint64(t.Bytes))
+			}
+		}
+	case OpModelChunk:
+		dst = appendU64(dst, uint64(resp.ChunkOffset))
+		dst = appendU64(dst, uint64(resp.ChunkTotal))
+		dst = appendU32(dst, uint32(len(resp.Chunk)))
+		dst = append(dst, resp.Chunk...)
+		dst = appendU32(dst, resp.ChunkCRC)
+	}
+	return dst, nil
+}
+
+// DecodeResponse decodes a payload produced by AppendResponse for a request
+// of the given op into resp. A hello answer from a peer on another protocol
+// version decodes to its envelope alone, so the caller can refuse the peer
+// by name; any other frame of a foreign version is an error. Decoded slices
+// never alias payload.
+func DecodeResponse(payload []byte, op Op, resp *DetectResponse) error {
+	cur := cursor{b: payload}
+	*resp = DetectResponse{Version: cur.u8(), ID: cur.u64()}
+	if cur.err == nil && resp.Version != ProtocolVersion {
+		if op == OpHello {
+			return nil
+		}
+		return fmt.Errorf("transport: response has protocol version %d, want %d", resp.Version, ProtocolVersion)
+	}
+	switch op {
+	case OpDetect, OpDetectBatch:
+		resp.Verdict = cur.verdict()
+		resp.ExecMs = cur.f64()
+		resp.ProcMs = cur.f64()
+		resp.Err = cur.str()
+		resp.Code = cur.str()
+		if n := cur.count(verdictWireBytes, "verdict"); n > 0 {
+			resp.Verdicts = make([]anomaly.Verdict, n)
+			for i := range resp.Verdicts {
+				resp.Verdicts[i] = cur.verdict()
+			}
+		}
+		if n := cur.count(8, "exec-time"); n > 0 {
+			resp.ExecMsEach = make([]float64, n)
+			for i := range resp.ExecMsEach {
+				resp.ExecMsEach[i] = cur.f64()
+			}
+		}
+		return cur.finish("response")
+	case OpHello, OpModelVersion, OpModelChunk:
+	default:
+		return fmt.Errorf("transport: cannot decode a response to op %d", op)
+	}
+	resp.Err = cur.str()
+	resp.Code = cur.str()
+	resp.ModelVersion = cur.str()
+	switch op {
+	case OpHello:
+		if cur.u8() != 0 {
+			resp.Sched = &SchedInfo{QueueDepth: int(int64(cur.u64())), Busy: cur.u64(), Expired: cur.u64(), Canceled: cur.u64()}
+		}
+	case OpModelVersion:
+		if cur.u8() != 0 {
+			m := &ModelManifest{Version: cur.str()}
+			// A tensor record is at least two empty strings and a u64.
+			if n := cur.count(16, "tensor"); n > 0 {
+				m.Tensors = make([]TensorDigest, n)
+				for i := range m.Tensors {
+					m.Tensors[i] = TensorDigest{Name: cur.str(), Digest: cur.str(), Bytes: int(int64(cur.u64()))}
+				}
+			}
+			resp.Manifest = m
+		}
+	case OpModelChunk:
+		resp.ChunkOffset = int(int64(cur.u64()))
+		resp.ChunkTotal = int(int64(cur.u64()))
+		resp.Chunk = cur.bytes()
+		resp.ChunkCRC = cur.u32()
+	}
+	return cur.finish("response")
+}
 
 // Append helpers (little-endian).
 
@@ -234,6 +247,13 @@ func appendU64(b []byte, v uint64) []byte {
 
 func appendF64(b []byte, v float64) []byte {
 	return appendU64(b, math.Float64bits(v))
+}
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
 }
 
 func appendStr(b []byte, s string) []byte {
@@ -338,6 +358,21 @@ func (c *cursor) cnt() int {
 	return int(v)
 }
 
+// count reads a u32 element count and checks that that many elements of
+// at least minBytes each fit in the rest of the payload, so a crafted count
+// cannot make the decoder allocate beyond the frame. It returns 0 once the
+// cursor has failed.
+func (c *cursor) count(minBytes int, what string) int {
+	n := c.cnt()
+	if c.err == nil && n > c.remaining()/minBytes {
+		c.fail("%s count %d exceeds payload", what, n)
+	}
+	if c.err != nil {
+		return 0
+	}
+	return n
+}
+
 func (c *cursor) str() string {
 	n := c.cnt()
 	if n == 0 || !c.need(n) {
@@ -346,6 +381,18 @@ func (c *cursor) str() string {
 	s := string(c.b[c.i : c.i+n])
 	c.i += n
 	return s
+}
+
+// bytes reads a length-prefixed byte string into a fresh slice (nil when
+// empty), so the result never aliases the recycled read buffer.
+func (c *cursor) bytes() []byte {
+	n := c.cnt()
+	if n == 0 || !c.need(n) {
+		return nil
+	}
+	b := append([]byte(nil), c.b[c.i:c.i+n]...)
+	c.i += n
+	return b
 }
 
 func (c *cursor) verdict() anomaly.Verdict {
@@ -363,12 +410,8 @@ func (c *cursor) verdict() anomaly.Verdict {
 // for the values plus one for the frame headers, however many frames the
 // window has.
 func (c *cursor) frames() [][]float64 {
-	n := c.cnt()
-	if c.err != nil || n == 0 {
-		return nil
-	}
-	if n > c.remaining()/4 {
-		c.fail("frame count %d exceeds payload", n)
+	n := c.count(4, "frame")
+	if n == 0 {
 		return nil
 	}
 	// First pass: walk the lengths to size the backing array. Lengths are
@@ -406,9 +449,9 @@ func (c *cursor) frames() [][]float64 {
 
 // BenchBatch builds the canonical hot-RPC benchmark workload: a
 // DetectBatch request of `batch` univariate weekly windows (672×1) and its
-// response. The package's Go benchmarks and hecbench's BENCH_N.json
-// snapshot both use it, so the CI codec-acceptance gate and
-// BenchmarkCodecGob/Binary always measure the same bytes.
+// response. The package's Go benchmarks, the frame-size test and
+// hecbench's BENCH_N.json snapshot all use it, so the CI codec gate and
+// BenchmarkCodecRoundTrip always measure the same bytes.
 func BenchBatch(batch int) (*DetectRequest, *DetectResponse) {
 	windows := make([][][]float64, batch)
 	for w := range windows {
@@ -434,10 +477,10 @@ func BenchBatch(batch int) (*DetectRequest, *DetectResponse) {
 // finish reports the latched error, if any, plus trailing garbage.
 func (c *cursor) finish(what string) error {
 	if c.err != nil {
-		return fmt.Errorf("transport: decoding binary %s: %w", what, c.err)
+		return fmt.Errorf("transport: decoding %s: %w", what, c.err)
 	}
 	if c.remaining() != 0 {
-		return fmt.Errorf("transport: binary %s carries %d trailing bytes", what, c.remaining())
+		return fmt.Errorf("transport: %s carries %d trailing bytes", what, c.remaining())
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"runtime"
 	"testing"
@@ -82,6 +83,43 @@ func TestDetectContextPreExpiredDeadline(t *testing.T) {
 	}
 }
 
+// writeRequest writes req as one frame — the raw-peer side of the wire, for
+// tests that speak the protocol without a Client.
+func writeRequest(w io.Writer, req *DetectRequest) error {
+	payload, err := AppendRequest(nil, req)
+	if err != nil {
+		return err
+	}
+	return writeFrame(w, payload)
+}
+
+// readResponse reads one frame and decodes it as the answer to a request
+// of the given op.
+func readResponse(r io.Reader, op Op, resp *DetectResponse) error {
+	payload, err := readFrame(r, nil)
+	if err != nil {
+		return err
+	}
+	return DecodeResponse(payload, op, resp)
+}
+
+// readRequest and writeResponse are the same helpers for a raw server.
+func readRequest(r io.Reader, req *DetectRequest) error {
+	payload, err := readFrame(r, nil)
+	if err != nil {
+		return err
+	}
+	return DecodeRequest(payload, req)
+}
+
+func writeResponse(w io.Writer, op Op, resp *DetectResponse) error {
+	payload, err := AppendResponse(nil, op, resp)
+	if err != nil {
+		return err
+	}
+	return writeFrame(w, payload)
+}
+
 // TestServerShedsExpiredWork speaks the wire protocol directly: a request
 // whose DeadlineUnixMicro is already in the past must come back with
 // CodeExpired and no verdict — the server must not run the detector.
@@ -103,12 +141,12 @@ func TestServerShedsExpiredWork(t *testing.T) {
 		Frames:            [][]float64{{2}},
 		DeadlineUnixMicro: time.Now().Add(-time.Second).UnixMicro(),
 	}
-	if err := writeMsg(conn, req); err != nil {
+	if err := writeRequest(conn, req); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
 	resp := new(DetectResponse)
-	if err := readMsg(conn, resp); err != nil {
+	if err := readResponse(conn, OpDetect, resp); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
@@ -125,11 +163,11 @@ func TestServerShedsExpiredWork(t *testing.T) {
 		Frames:            [][]float64{{2}},
 		DeadlineUnixMicro: time.Now().Add(time.Minute).UnixMicro(),
 	}
-	if err := writeMsg(conn, req); err != nil {
+	if err := writeRequest(conn, req); err != nil {
 		t.Fatal(err)
 	}
 	resp = new(DetectResponse)
-	if err := readMsg(conn, resp); err != nil {
+	if err := readResponse(conn, OpDetect, resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Code != "" || !resp.Verdict.Anomaly {

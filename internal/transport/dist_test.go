@@ -466,45 +466,6 @@ func TestModelSwapMidTransfer(t *testing.T) {
 	sameSnapshot(t, got, next)
 }
 
-// TestDistributionCompatFallback is the negotiation matrix for the model
-// distribution ops: a peer that predates them (gob-only or binary-codec
-// vintage) answers the version probe with "unknown op", and the client
-// degrades to the legacy whole-snapshot gob fetch — same snapshot, no
-// error, connection still usable.
-func TestDistributionCompatFallback(t *testing.T) {
-	snap := distSnapshot()
-	for _, tc := range []struct {
-		name string
-		max  uint8
-	}{
-		{"gob-only peer", CodecVersionGob},
-		{"binary-codec peer", CodecVersionBinary},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			srv := startServerWith(t, ServerOptions{Model: snap, MaxCodecVersion: tc.max})
-			cli := dialT(t, srv.Addr(), 0)
-			ctx := context.Background()
-
-			if _, err := cli.ModelManifestContext(ctx); !errors.Is(err, ErrUnsupported) {
-				t.Fatalf("version probe against old peer: err = %v, want ErrUnsupported", err)
-			}
-			got, upToDate, err := cli.RefreshModelContext(ctx, snap)
-			if err != nil || upToDate {
-				t.Fatalf("refresh against old peer: upToDate=%v err=%v", upToDate, err)
-			}
-			sameSnapshot(t, got, snap)
-			if got2, err := cli.FetchModelContext(ctx); err != nil {
-				t.Fatal(err)
-			} else {
-				sameSnapshot(t, got2, snap)
-			}
-			if _, err := cli.Detect([][]float64{{0.5}}); err != nil {
-				t.Fatalf("connection unusable after degraded fetch: %v", err)
-			}
-		})
-	}
-}
-
 // TestUpdateModelRejectsBadSnapshot: a snapshot the canonical codec cannot
 // encode must not replace the serving state.
 func TestUpdateModelRejectsBadSnapshot(t *testing.T) {

@@ -85,8 +85,7 @@ type TensorDigest struct {
 // (hex SHA-256 over the full canonical payload) plus one digest per tensor,
 // in snapshot order. Two manifests with equal Version hold bit-identical
 // models; the per-tensor digests drive delta updates (ship only tensors
-// whose digest changed). It travels gob-encoded on OpModelVersion
-// responses, so every field is exported and additive.
+// whose digest changed). It travels on OpModelVersion responses.
 type ModelManifest struct {
 	Version string
 	Tensors []TensorDigest

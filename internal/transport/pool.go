@@ -88,7 +88,7 @@ func (p *Pool) Evicted() uint64 {
 
 // pick returns a usable client, starting at the round-robin cursor and
 // scanning forward: broken clients are evicted and their slots redialed in
-// place. The dial itself (TCP connect + codec negotiation, seconds in the
+// place. The dial itself (TCP connect + version check, seconds in the
 // worst case) runs outside the pool lock — bounded by the requesting
 // caller's ctx — so other callers keep flowing through the healthy slots;
 // a per-slot flag keeps racing callers from stampeding the server with
@@ -240,48 +240,18 @@ func (p *Pool) FetchModel() (*ModelSnapshot, error) {
 	return p.FetchModelContext(context.Background())
 }
 
-// FetchModelContext is FetchModel with cancellation. The fetch prefers the
-// idlest pooled connection — provisioning must not queue behind a deep
-// detect pipeline — and rides the chunked distribution path when the
-// server speaks it (see Client.FetchModelContext).
+// FetchModelContext is FetchModel with cancellation: RefreshModelContext
+// with no base snapshot.
 func (p *Pool) FetchModelContext(ctx context.Context) (*ModelSnapshot, error) {
-	c, err := p.pickIdle(ctx)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := c.FetchModelContext(ctx)
-	if err != nil {
-		p.evictOnErr(c, err)
-	}
+	snap, _, err := p.RefreshModelContext(ctx, nil)
 	return snap, err
 }
 
-// FetchModelFullContext is the legacy whole-snapshot gob fetch over the
-// idlest pooled connection (see Client.FetchModelFullContext).
-func (p *Pool) FetchModelFullContext(ctx context.Context) (*ModelSnapshot, error) {
-	c, err := p.pickIdle(ctx)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := c.FetchModelFullContext(ctx)
-	if err != nil {
-		p.evictOnErr(c, err)
-	}
-	return snap, err
-}
-
-// RefreshModelContext is the version-aware fetch over the idlest pooled
-// connection (see Client.RefreshModelContext).
+// RefreshModelContext is the version-aware fetch (see RefreshModel) over
+// the pool: every probe and chunk rides the idlest pooled connection, so
+// provisioning never queues behind a deep detection pipeline.
 func (p *Pool) RefreshModelContext(ctx context.Context, base *ModelSnapshot) (*ModelSnapshot, bool, error) {
-	c, err := p.pickIdle(ctx)
-	if err != nil {
-		return nil, false, err
-	}
-	snap, upToDate, err := c.RefreshModelContext(ctx, base)
-	if err != nil {
-		p.evictOnErr(c, err)
-	}
-	return snap, upToDate, err
+	return RefreshModel(ctx, base, p.ModelManifestContext, p.ModelChunkContext)
 }
 
 // ModelManifestContext probes the server's model content address over the

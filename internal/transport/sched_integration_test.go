@@ -78,54 +78,45 @@ func pollSched(t *testing.T, srv *Server, what string, cond func(sched.Stats) bo
 }
 
 // TestBusyResponseTaxonomy pins the busy wire response's client-side
-// classification on both codecs: ErrBusy and ErrRemote, but never ErrConn
-// (the connection is healthy and stays usable).
+// classification on the binary codec: ErrBusy and ErrRemote, but never
+// ErrConn (the connection is healthy and stays usable).
 func TestBusyResponseTaxonomy(t *testing.T) {
-	for _, mode := range []struct {
-		name  string
-		codec CodecMode
-	}{{"binary", CodecAuto}, {"gob", CodecGobOnly}} {
-		t.Run(mode.name, func(t *testing.T) {
-			det := schedTestDetector{release: make(chan struct{})}
-			srv := startSchedServer(t, det, sched.Config{MaxConcurrent: 1, MaxQueue: 0})
-			cli, err := DialWith(srv.Addr(), DialOptions{Codec: mode.codec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { cli.Close() })
+	t.Run("binary", func(t *testing.T) {
+		det := schedTestDetector{release: make(chan struct{})}
+		srv := startSchedServer(t, det, sched.Config{MaxConcurrent: 1, MaxQueue: 0})
+		cli := dialT(t, srv.Addr(), 0)
 
-			holderDone := make(chan struct{})
-			go func() {
-				defer close(holderDone)
-				if _, err := cli.Detect([][]float64{{-1}}); err != nil {
-					t.Errorf("holder detect: %v", err)
-				}
-			}()
-			pollSched(t, srv, "running=1", func(st sched.Stats) bool { return st.Running == 1 })
+		holderDone := make(chan struct{})
+		go func() {
+			defer close(holderDone)
+			if _, err := cli.Detect([][]float64{{-1}}); err != nil {
+				t.Errorf("holder detect: %v", err)
+			}
+		}()
+		pollSched(t, srv, "running=1", func(st sched.Stats) bool { return st.Running == 1 })
 
-			_, err = cli.Detect([][]float64{{0}})
-			if !errors.Is(err, ErrBusy) {
-				t.Fatalf("detect at capacity = %v, want ErrBusy", err)
-			}
-			if !errors.Is(err, ErrRemote) {
-				t.Fatalf("busy error %v must wrap ErrRemote", err)
-			}
-			if errors.Is(err, ErrConn) {
-				t.Fatalf("busy error %v must NOT read as a connection failure", err)
-			}
-			if st, _ := srv.SchedStats(); st.Busy != 1 {
-				t.Fatalf("scheduler stats %+v, want Busy=1", st)
-			}
+		_, err := cli.Detect([][]float64{{0}})
+		if !errors.Is(err, ErrBusy) {
+			t.Fatalf("detect at capacity = %v, want ErrBusy", err)
+		}
+		if !errors.Is(err, ErrRemote) {
+			t.Fatalf("busy error %v must wrap ErrRemote", err)
+		}
+		if errors.Is(err, ErrConn) {
+			t.Fatalf("busy error %v must NOT read as a connection failure", err)
+		}
+		if st, _ := srv.SchedStats(); st.Busy != 1 {
+			t.Fatalf("scheduler stats %+v, want Busy=1", st)
+		}
 
-			// The refusal cost nothing: the connection is still good and the
-			// next request (after capacity frees) succeeds.
-			close(det.release)
-			<-holderDone
-			if _, err := cli.Detect([][]float64{{0}}); err != nil {
-				t.Fatalf("detect after capacity freed: %v", err)
-			}
-		})
-	}
+		// The refusal cost nothing: the connection is still good and the
+		// next request (after capacity frees) succeeds.
+		close(det.release)
+		<-holderDone
+		if _, err := cli.Detect([][]float64{{0}}); err != nil {
+			t.Fatalf("detect after capacity freed: %v", err)
+		}
+	})
 }
 
 // TestBatchBusyResponse covers the batch RPC's busy path (same admission,
@@ -259,9 +250,7 @@ func TestCancelInterruptsRunningRequest(t *testing.T) {
 }
 
 // TestCancelAgainstUnscheduledServer: the one-way cancel frame is a no-op
-// for servers without a scheduler (and, by the same handling, for peers
-// that predate it: they answer "unknown op" to an ID nobody waits on) —
-// the connection stays fully usable.
+// for servers without a scheduler — the connection stays fully usable.
 func TestCancelAgainstUnscheduledServer(t *testing.T) {
 	srv := startServer(t) // no scheduler
 	cli := dialT(t, srv.Addr(), 0)

@@ -275,15 +275,18 @@ func TestMidStreamDisconnect(t *testing.T) {
 			return
 		}
 		close(accepted)
-		// Swallow one length prefix mid-message, then drop the connection.
+		// Answer the hello, then swallow one length prefix mid-message and
+		// drop the connection.
+		var hello DetectRequest
+		if readRequest(conn, &hello) == nil {
+			_ = writeResponse(conn, OpHello, &DetectResponse{ID: hello.ID})
+		}
 		buf := make([]byte, 4)
 		_, _ = io.ReadFull(conn, buf)
 		conn.Close()
 	}()
 
-	// The fake peer answers nothing, so skip the OpHello negotiation —
-	// exactly what a client talking to a pre-negotiation build does.
-	cli, err := DialWith(lis.Addr().String(), DialOptions{Codec: CodecGobOnly})
+	cli, err := Dial(lis.Addr().String(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +501,6 @@ func TestMessageSizeLimit(t *testing.T) {
 	srv := startServer(t)
 	cli := dialT(t, srv.Addr(), 0)
 	// A >16 MB window must be rejected client-side before hitting the wire.
-	// Values must be irregular: gob encodes zero floats in one byte.
 	huge := make([][]float64, 1)
 	huge[0] = make([]float64, (maxMessageBytes/8)+1024)
 	for i := range huge[0] {
