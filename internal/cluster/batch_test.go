@@ -2,34 +2,14 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"math"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/anomaly"
 	"repro/internal/hec"
 	"repro/internal/transport"
 )
-
-// stubBatchRemote implements BatchRemote with scripted per-window results
-// and counts batch requests.
-type stubBatchRemote struct {
-	stubRemote
-	batchCalls atomic.Int64
-}
-
-func (r *stubBatchRemote) DetectBatchContext(_ context.Context, windows [][][]float64) (transport.BatchResult, error) {
-	r.batchCalls.Add(1)
-	if r.err != nil {
-		return transport.BatchResult{}, r.err
-	}
-	res := transport.BatchResult{NetMs: r.netMs}
-	for range windows {
-		res.Verdicts = append(res.Verdicts, r.verdict)
-		res.ExecMsEach = append(res.ExecMsEach, r.execMs)
-	}
-	return res, nil
-}
 
 func windowsN(n int) [][][]float64 {
 	out := make([][][]float64, n)
@@ -42,7 +22,7 @@ func windowsN(n int) [][][]float64 {
 // TestRunBatchFixedSharesNetworkTime pins the batch delay rule: one request,
 // its network time split evenly across the windows.
 func TestRunBatchFixedSharesNetworkTime(t *testing.T) {
-	edge := &stubBatchRemote{stubRemote: stubRemote{verdict: confident(true), execMs: 5, netMs: 12}}
+	edge := &stubRemote{verdict: confident(true), execMs: 5, netMs: 12}
 	dev := testDevice(confident(false), nil, nil)
 	dev.Remotes[hec.LayerEdge] = edge
 	outs, err := dev.RunBatch(context.Background(), SchemeEdge, windowsN(4))
@@ -60,14 +40,17 @@ func TestRunBatchFixedSharesNetworkTime(t *testing.T) {
 			t.Fatalf("window %d delay accounting: %+v (want exec 5, net 3, delay 8)", i, out)
 		}
 	}
+	if outs, err := dev.RunBatch(context.Background(), SchemeEdge, nil); err != nil || outs != nil {
+		t.Fatalf("empty batch: (%v, %v)", outs, err)
+	}
 }
 
 // TestRunBatchSuccessiveEscalatesOnlyUnconfident checks staged escalation:
 // the whole batch is judged locally, only the unconfident windows ride to
 // the edge, and a confident edge verdict stops the escalation.
 func TestRunBatchSuccessiveEscalatesOnlyUnconfident(t *testing.T) {
-	edge := &stubBatchRemote{stubRemote: stubRemote{verdict: confident(true), execMs: 5, netMs: 6}}
-	cloud := &stubBatchRemote{stubRemote: stubRemote{verdict: confident(true), execMs: 1, netMs: 40}}
+	edge := &stubRemote{verdict: confident(true), execMs: 5, netMs: 6}
+	cloud := &stubRemote{verdict: confident(true), execMs: 1, netMs: 40}
 	dev := testDevice(unconfident(), nil, nil)
 	dev.Remotes[hec.LayerEdge] = edge
 	dev.Remotes[hec.LayerCloud] = cloud
@@ -109,8 +92,8 @@ func TestRunBatchSuccessiveEscalatesOnlyUnconfident(t *testing.T) {
 // policy preferring the edge, all windows go as one edge batch, each paying
 // the policy overhead.
 func TestRunBatchAdaptiveGroupsByPolicyLayer(t *testing.T) {
-	edge := &stubBatchRemote{stubRemote: stubRemote{verdict: confident(true), execMs: 5, netMs: 8}}
-	cloud := &stubBatchRemote{stubRemote: stubRemote{verdict: confident(true), execMs: 1, netMs: 40}}
+	edge := &stubRemote{verdict: confident(true), execMs: 5, netMs: 8}
+	cloud := &stubRemote{verdict: confident(true), execMs: 1, netMs: 40}
 	dev := testDevice(confident(false), nil, nil)
 	dev.Remotes[hec.LayerEdge] = edge
 	dev.Remotes[hec.LayerCloud] = cloud
@@ -143,35 +126,12 @@ func TestRunBatchAdaptiveGroupsByPolicyLayer(t *testing.T) {
 	}
 }
 
-// TestRunBatchFallsBackToPerWindowRemote checks a plain Remote (no batch
-// RPC) still works under RunBatch, with summed network time shared back.
-func TestRunBatchFallsBackToPerWindowRemote(t *testing.T) {
-	edge := &stubRemote{verdict: confident(true), execMs: 5, netMs: 7}
-	dev := testDevice(confident(false), edge, nil)
-	outs, err := dev.RunBatch(context.Background(), SchemeEdge, windowsN(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if edge.calls.Load() != 3 {
-		t.Fatalf("%d per-window calls, want 3", edge.calls.Load())
-	}
-	for i, out := range outs {
-		// Per-window net 7 summed to 21, shared back as 7 each.
-		if math.Abs(out.NetMs-7) > 1e-12 || math.Abs(out.DelayMs-12) > 1e-12 {
-			t.Fatalf("window %d accounting %+v", i, out)
-		}
-	}
-	if outs, err := dev.RunBatch(context.Background(), SchemeEdge, nil); err != nil || outs != nil {
-		t.Fatalf("empty batch: (%v, %v)", outs, err)
-	}
-}
-
 // TestLoadGeneratorBatchMode runs the load generator in batch mode against
 // stub remotes and cross-checks the aggregate verdict counts against
 // per-window mode (delay stats differ by design: batches share net time).
 func TestLoadGeneratorBatchMode(t *testing.T) {
 	mkDev := func() *Device {
-		edge := &stubBatchRemote{stubRemote: stubRemote{verdict: confident(true), execMs: 5, netMs: 8}}
+		edge := &stubRemote{verdict: confident(true), execMs: 5, netMs: 8}
 		dev := testDevice(confident(false), nil, nil)
 		dev.Remotes[hec.LayerEdge] = edge
 		return dev
@@ -235,6 +195,168 @@ func TestDeviceBatchOverLiveTransport(t *testing.T) {
 		}
 		if out.ExecMs != float64(len(window)) {
 			t.Fatalf("window %d exec %g, want %d", i, out.ExecMs, len(window))
+		}
+	}
+}
+
+// TestRunBatchShortReplyIsRemoteError: a batch reply with fewer verdicts or
+// execution times than windows must fail the dispatch as a remote error,
+// not yield zero-valued outcomes or index past the reply.
+func TestRunBatchShortReplyIsRemoteError(t *testing.T) {
+	for _, s := range []Scheme{SchemeEdge, SchemeSuccessive, SchemeAdaptive} {
+		edge := &stubRemote{verdict: confident(true), execMs: 5, netMs: 6, short: 1}
+		dev := testDevice(unconfident(), edge, nil)
+		outs, err := dev.RunBatch(context.Background(), s, windowsN(3))
+		if !errors.Is(err, transport.ErrRemote) {
+			t.Fatalf("%v: short reply gave (%v, %v), want an error wrapping transport.ErrRemote", s, outs, err)
+		}
+	}
+}
+
+// marked is a window whose first reading m scripts the ladder verdicts and
+// the marker policy below.
+func marked(m float64) [][]float64 { return [][]float64{{m}, {2}} }
+
+// ladder scripts layer l's verdict on a marked window: confident iff m <= l,
+// with a MinLogPD unique to (layer, window) so a test can tell which layer
+// answered.
+func ladder(l hec.Layer) func(frames [][]float64) anomaly.Verdict {
+	return func(frames [][]float64) anomaly.Verdict {
+		m := frames[0][0]
+		return anomaly.Verdict{Anomaly: m >= 1, Confident: m <= float64(l), MinLogPD: -10*float64(l) - m}
+	}
+}
+
+// markerExtractor passes a marked window's marker on as its context.
+type markerExtractor struct{}
+
+func (markerExtractor) Context(frames [][]float64) ([]float64, error) {
+	return []float64{frames[0][0]}, nil
+}
+func (markerExtractor) Dim() int { return 1 }
+
+// markerPolicy prefers layer m and least prefers layer (m+1) mod 3.
+type markerPolicy struct{}
+
+func (markerPolicy) Probs(z []float64) ([]float64, error) {
+	m := int(z[0])
+	probs := make([]float64, hec.NumLayers)
+	probs[m], probs[(m+1)%hec.NumLayers], probs[(m+2)%hec.NumLayers] = 0.7, 0.1, 0.2
+	return probs, nil
+}
+
+// markedDevice answers by ladder at every layer and routes by marker.
+func markedDevice() (*Device, *stubRemote, *stubRemote) {
+	edge := &stubRemote{verdictOf: ladder(hec.LayerEdge), execMs: 5, netMs: 6}
+	cloud := &stubRemote{verdictOf: ladder(hec.LayerCloud), execMs: 1, netMs: 40}
+	dev := testDevice(anomaly.Verdict{}, edge, cloud)
+	dev.Local = stubDetector{verdictOf: ladder(hec.LayerIoT)}
+	dev.Policy, dev.Extractor = markerPolicy{}, markerExtractor{}
+	return dev, edge, cloud
+}
+
+// sameBits reports whether two outcomes are bit-identical.
+func sameBits(a, b Outcome) bool {
+	return a.Verdict.Anomaly == b.Verdict.Anomaly && a.Verdict.Confident == b.Verdict.Confident &&
+		math.Float64bits(a.Verdict.MinLogPD) == math.Float64bits(b.Verdict.MinLogPD) && a.Layer == b.Layer &&
+		math.Float64bits(a.DelayMs) == math.Float64bits(b.DelayMs) &&
+		math.Float64bits(a.ExecMs) == math.Float64bits(b.ExecMs) &&
+		math.Float64bits(a.NetMs) == math.Float64bits(b.NetMs)
+}
+
+// TestDispatchShape pins how every scheme reaches the tiers. Run sends
+// per-window requests only; RunBatch of one window is Run bit for bit; a
+// batch with mixed confidence or mixed policy layers makes exactly one
+// batch request per tier stage, with Run's verdicts, layers and execution
+// times; and a tier group of one window inside a batch rides a per-window
+// request.
+func TestDispatchShape(t *testing.T) {
+	ctx := context.Background()
+	markers := []float64{0, 1, 2, 1, 2, 0, 2}
+	batch := make([][][]float64, len(markers))
+	for i, m := range markers {
+		batch[i] = marked(m)
+	}
+	// Windows each tier stage carries for the markers above.
+	stages := map[Scheme][2]int64{
+		SchemeIoT:          {0, 0},
+		SchemeEdge:         {7, 0},
+		SchemeCloud:        {0, 7},
+		SchemeSuccessive:   {5, 3}, // m=0 stays local, m=1 stops at the edge
+		SchemeAdaptive:     {2, 3}, // to layer m
+		SchemePathological: {2, 2}, // to layer (m+1) mod 3
+	}
+	for _, s := range AllSchemes() {
+		dev, edge, cloud := markedDevice()
+		want := make([]Outcome, len(batch))
+		for i, w := range batch {
+			out, err := dev.Run(ctx, s, w)
+			if err != nil {
+				t.Fatalf("%v: Run: %v", s, err)
+			}
+			one, err := dev.RunBatch(ctx, s, [][][]float64{w})
+			if err != nil {
+				t.Fatalf("%v: RunBatch(1): %v", s, err)
+			}
+			if !sameBits(one[0], out) {
+				t.Fatalf("%v window %d: RunBatch(1) %+v, Run %+v", s, i, one[0], out)
+			}
+			want[i] = out
+		}
+		if n := edge.batchCalls.Load() + cloud.batchCalls.Load(); n != 0 {
+			t.Fatalf("%v: per-window dispatch made %d batch requests", s, n)
+		}
+
+		dev, edge, cloud = markedDevice()
+		outs, err := dev.RunBatch(ctx, s, batch)
+		if err != nil {
+			t.Fatalf("%v: RunBatch: %v", s, err)
+		}
+		for k, r := range []*stubRemote{edge, cloud} {
+			wantCalls := int64(0)
+			if stages[s][k] > 0 {
+				wantCalls = 1
+			}
+			if r.calls.Load() != 0 || r.batchCalls.Load() != wantCalls || r.batchWindows.Load() != stages[s][k] {
+				t.Fatalf("%v tier %d: %d per-window + %d batch requests carrying %d windows, want 0 + %d carrying %d",
+					s, k+1, r.calls.Load(), r.batchCalls.Load(), r.batchWindows.Load(), wantCalls, stages[s][k])
+			}
+		}
+		for i, out := range outs {
+			if out.Verdict != want[i].Verdict || out.Layer != want[i].Layer || out.ExecMs != want[i].ExecMs {
+				t.Fatalf("%v window %d: batch %+v, per-window %+v", s, i, out, want[i])
+			}
+		}
+	}
+
+	// One unconfident window among confident ones escalates alone, as a
+	// per-window request.
+	dev, edge, _ := markedDevice()
+	if _, err := dev.RunBatch(ctx, SchemeSuccessive, [][][]float64{marked(0), marked(1), marked(0)}); err != nil {
+		t.Fatal(err)
+	}
+	if edge.calls.Load() != 1 || edge.batchCalls.Load() != 0 {
+		t.Fatalf("lone escalation: %d per-window + %d batch requests, want 1 + 0", edge.calls.Load(), edge.batchCalls.Load())
+	}
+}
+
+// TestRunAllocs holds per-window dispatch to its allocation budget on stub
+// tiers: none for the fixed and successive schemes, and only the stub
+// extractor's context vector for the policy-driven ones.
+func TestRunAllocs(t *testing.T) {
+	edge := &stubRemote{verdict: unconfident(), execMs: 5, netMs: 7}
+	cloud := &stubRemote{verdict: confident(true), execMs: 2, netMs: 11}
+	dev := testDevice(unconfident(), edge, cloud)
+	ctx := context.Background()
+	budget := map[Scheme]float64{SchemeAdaptive: 1, SchemePathological: 1}
+	for _, s := range AllSchemes() {
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := dev.Run(ctx, s, window); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != budget[s] {
+			t.Errorf("%v: Run makes %v allocations, want %v", s, got, budget[s])
 		}
 	}
 }

@@ -11,37 +11,71 @@ import (
 	"repro/internal/transport"
 )
 
-// stubDetector returns a fixed verdict.
+// stubDetector returns a fixed verdict, or a scripted one per window.
 type stubDetector struct {
-	verdict anomaly.Verdict
-	err     error
+	verdict   anomaly.Verdict
+	verdictOf func(frames [][]float64) anomaly.Verdict
+	err       error
 }
 
-func (s stubDetector) Name() string                                { return "stub" }
-func (s stubDetector) Detect([][]float64) (anomaly.Verdict, error) { return s.verdict, s.err }
-func (s stubDetector) NumParams() int                              { return 1 }
-func (s stubDetector) FlopsPerWindow(int) int64                    { return 1 }
+func (s stubDetector) Name() string { return "stub" }
+func (s stubDetector) Detect(frames [][]float64) (anomaly.Verdict, error) {
+	if s.verdictOf != nil {
+		return s.verdictOf(frames), s.err
+	}
+	return s.verdict, s.err
+}
+func (s stubDetector) NumParams() int           { return 1 }
+func (s stubDetector) FlopsPerWindow(int) int64 { return 1 }
 
-// stubRemote returns a fixed result and counts calls.
+// stubRemote returns a fixed (or per-window scripted) result and counts
+// per-window requests in calls, batch requests in batchCalls and the
+// windows they carried in batchWindows.
 type stubRemote struct {
-	verdict anomaly.Verdict
-	execMs  float64
-	netMs   float64
-	err     error
-	calls   atomic.Int64
+	verdict   anomaly.Verdict
+	verdictOf func(frames [][]float64) anomaly.Verdict
+	execMs    float64
+	netMs     float64
+	err       error
+	// short drops that many entries from every batch reply.
+	short        int
+	calls        atomic.Int64
+	batchCalls   atomic.Int64
+	batchWindows atomic.Int64
 }
 
-func (r *stubRemote) DetectContext(context.Context, [][]float64) (transport.DetectResult, error) {
+func (r *stubRemote) verdictFor(frames [][]float64) anomaly.Verdict {
+	if r.verdictOf != nil {
+		return r.verdictOf(frames)
+	}
+	return r.verdict
+}
+
+func (r *stubRemote) DetectContext(_ context.Context, frames [][]float64) (transport.DetectResult, error) {
 	r.calls.Add(1)
 	if r.err != nil {
 		return transport.DetectResult{}, r.err
 	}
 	return transport.DetectResult{
-		Verdict: r.verdict,
+		Verdict: r.verdictFor(frames),
 		ExecMs:  r.execMs,
 		NetMs:   r.netMs,
 		E2EMs:   r.execMs + r.netMs,
 	}, nil
+}
+
+func (r *stubRemote) DetectBatchContext(_ context.Context, windows [][][]float64) (transport.BatchResult, error) {
+	r.batchCalls.Add(1)
+	r.batchWindows.Add(int64(len(windows)))
+	if r.err != nil {
+		return transport.BatchResult{}, r.err
+	}
+	res := transport.BatchResult{NetMs: r.netMs}
+	for _, w := range windows[:max(0, len(windows)-r.short)] {
+		res.Verdicts = append(res.Verdicts, r.verdictFor(w))
+		res.ExecMsEach = append(res.ExecMsEach, r.execMs)
+	}
+	return res, nil
 }
 
 // stubPolicy returns a fixed action distribution.
@@ -78,7 +112,7 @@ func TestFixedDelayAccounting(t *testing.T) {
 	edge := &stubRemote{verdict: confident(true), execMs: 5, netMs: 7}
 	dev := testDevice(confident(false), edge, nil)
 
-	out, err := dev.Fixed(context.Background(), hec.LayerIoT, window)
+	out, err := dev.Run(context.Background(), SchemeIoT, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +120,7 @@ func TestFixedDelayAccounting(t *testing.T) {
 		t.Fatalf("local outcome = %+v, want exec-only 3 ms at IoT", out)
 	}
 
-	out, err = dev.Fixed(context.Background(), hec.LayerEdge, window)
+	out, err = dev.Run(context.Background(), SchemeEdge, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +141,7 @@ func TestSuccessiveCloudPathCountsEveryLayer(t *testing.T) {
 	cloud := &stubRemote{verdict: confident(true), execMs: 2, netMs: 11}
 	dev := testDevice(unconfident(), edge, cloud)
 
-	out, err := dev.Successive(context.Background(), window)
+	out, err := dev.Run(context.Background(), SchemeSuccessive, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +164,7 @@ func TestSuccessiveStopsAtConfidentEdge(t *testing.T) {
 	cloud := &stubRemote{verdict: confident(true), execMs: 2, netMs: 11}
 	dev := testDevice(unconfident(), edge, cloud)
 
-	out, err := dev.Successive(context.Background(), window)
+	out, err := dev.Run(context.Background(), SchemeSuccessive, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +179,7 @@ func TestSuccessiveStopsAtConfidentEdge(t *testing.T) {
 func TestSuccessiveConfidentLocalStaysLocal(t *testing.T) {
 	edge := &stubRemote{verdict: confident(true), execMs: 5, netMs: 7}
 	dev := testDevice(confident(true), edge, nil)
-	out, err := dev.Successive(context.Background(), window)
+	out, err := dev.Run(context.Background(), SchemeSuccessive, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +196,7 @@ func TestAdaptiveFollowsPolicy(t *testing.T) {
 	cloud := &stubRemote{verdict: confident(true), execMs: 2, netMs: 11}
 	dev := testDevice(confident(false), edge, cloud) // policy prefers edge (0.7)
 
-	out, err := dev.Adaptive(context.Background(), window)
+	out, err := dev.Run(context.Background(), SchemeAdaptive, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +213,7 @@ func TestPathologicalPicksLeastPreferred(t *testing.T) {
 	cloud := &stubRemote{verdict: confident(true), execMs: 2, netMs: 11}
 	dev := testDevice(confident(false), edge, cloud) // policy argmin is IoT (0.1)
 
-	out, err := dev.Pathological(context.Background(), window)
+	out, err := dev.Run(context.Background(), SchemePathological, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +226,7 @@ func TestPathologicalPicksLeastPreferred(t *testing.T) {
 
 	// Without a policy it degrades to always-cloud.
 	dev.Policy = nil
-	out, err = dev.Pathological(context.Background(), window)
+	out, err = dev.Run(context.Background(), SchemePathological, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,20 +238,20 @@ func TestPathologicalPicksLeastPreferred(t *testing.T) {
 func TestPolicyActionOutOfRange(t *testing.T) {
 	dev := testDevice(confident(false), &stubRemote{}, &stubRemote{})
 	dev.Policy = stubPolicy{probs: []float64{0.1, 0.1, 0.1, 0.7}}
-	if _, err := dev.Adaptive(context.Background(), window); err == nil {
+	if _, err := dev.Run(context.Background(), SchemeAdaptive, window); err == nil {
 		t.Fatal("action beyond NumLayers must be rejected")
 	}
 }
 
 func TestDeviceMissingPieces(t *testing.T) {
 	dev := &Device{}
-	if _, err := dev.Fixed(context.Background(), hec.LayerIoT, window); err == nil {
+	if _, err := dev.Run(context.Background(), SchemeIoT, window); err == nil {
 		t.Fatal("missing local detector must error")
 	}
-	if _, err := dev.Fixed(context.Background(), hec.LayerEdge, window); err == nil {
+	if _, err := dev.Run(context.Background(), SchemeEdge, window); err == nil {
 		t.Fatal("missing remote must error")
 	}
-	if _, err := dev.Adaptive(context.Background(), window); err == nil {
+	if _, err := dev.Run(context.Background(), SchemeAdaptive, window); err == nil {
 		t.Fatal("missing policy must error")
 	}
 }

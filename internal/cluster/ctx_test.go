@@ -17,13 +17,32 @@ type slowRemote struct {
 }
 
 func (r *slowRemote) DetectContext(ctx context.Context, frames [][]float64) (transport.DetectResult, error) {
+	if err := r.wait(ctx); err != nil {
+		return transport.DetectResult{}, err
+	}
+	return transport.DetectResult{Verdict: confident(false), ExecMs: 1, NetMs: 1, E2EMs: 2}, nil
+}
+
+func (r *slowRemote) DetectBatchContext(ctx context.Context, windows [][][]float64) (transport.BatchResult, error) {
+	if err := r.wait(ctx); err != nil {
+		return transport.BatchResult{}, err
+	}
+	res := transport.BatchResult{NetMs: 1}
+	for range windows {
+		res.Verdicts = append(res.Verdicts, confident(false))
+		res.ExecMsEach = append(res.ExecMsEach, 1)
+	}
+	return res, nil
+}
+
+func (r *slowRemote) wait(ctx context.Context) error {
 	t := time.NewTimer(r.delay)
 	defer t.Stop()
 	select {
 	case <-t.C:
-		return transport.DetectResult{Verdict: confident(false), ExecMs: 1, NetMs: 1, E2EMs: 2}, nil
+		return nil
 	case <-ctx.Done():
-		return transport.DetectResult{}, ctx.Err()
+		return ctx.Err()
 	}
 }
 

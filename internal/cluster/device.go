@@ -16,8 +16,10 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/anomaly"
@@ -32,9 +34,19 @@ import (
 // health-checked failover without knowing it (see internal/routing). The
 // context carries cancellation and the deadline that transport propagates
 // on the wire so overloaded tiers can shed expired work.
+//
+// A Device sends a tier group of one window through DetectContext
+// (OpDetect, the interactive scheduling class) and a larger group through
+// one DetectBatchContext request (OpDetectBatch, the bulk class), whose
+// reply must carry one verdict and one execution time per window; a short
+// reply is an error wrapping transport.ErrRemote.
 type Remote interface {
 	DetectContext(ctx context.Context, frames [][]float64) (transport.DetectResult, error)
+	DetectBatchContext(ctx context.Context, windows [][][]float64) (transport.BatchResult, error)
 }
+
+// BatchRemote is an alias of Remote, kept for code that names it.
+type BatchRemote = Remote
 
 // PolicySource yields the action distribution π(·|z) for a context; it is
 // satisfied by *policy.Network and by test stubs.
@@ -187,72 +199,101 @@ type Outcome struct {
 	NetMs float64
 }
 
-// detectAt runs one detection at a single layer, returning the verdict with
-// the layer's simulated execution time and measured network time. ctx is
-// checked before local detection and handed to remotes, whose transport
-// honours it during delays and response waits.
-func (d *Device) detectAt(ctx context.Context, l hec.Layer, frames [][]float64) (anomaly.Verdict, float64, float64, error) {
-	if l == hec.LayerIoT {
-		local, execMs := d.localState()
-		if local == nil {
-			return anomaly.Verdict{}, 0, 0, fmt.Errorf("cluster: device has no local detector")
+// fold records layer l's verdict as the window's answer, adding the
+// layer's execution and network time to what earlier layers cost.
+func (o *Outcome) fold(l hec.Layer, v anomaly.Verdict, execMs, netMs float64) {
+	o.Verdict, o.Layer = v, l
+	o.ExecMs += execMs
+	o.NetMs += netMs
+	o.DelayMs = o.ExecMs + o.NetMs
+}
+
+// localExec is the simulated local execution time of one window (zero
+// without an execution-time model).
+func localExec(execMs func(frames int) float64, frames [][]float64) float64 {
+	if execMs == nil {
+		return 0
+	}
+	return execMs(len(frames))
+}
+
+// judge detects windows[i] for every i in idx at layer l and folds each
+// verdict into outs[i] (see Outcome.fold), so a window that tries several
+// layers pays for every one. It is the one place that picks the dispatch
+// shape: a group of one window goes through Detector.Detect or
+// Remote.DetectContext (OpDetect, the interactive scheduling class); a
+// larger group goes through anomaly.DetectAll or one
+// Remote.DetectBatchContext request (OpDetectBatch), paying the wire round
+// trip, codec work and injected link delay once. A batch's measured network
+// time is shared evenly across its windows, because that is what each
+// window actually cost the link once it rode along. ctx is checked before
+// local detection and handed to remotes, whose transport honours it during
+// delays and response waits.
+func (d *Device) judge(ctx context.Context, l hec.Layer, windows [][][]float64, idx []int, outs []Outcome) error {
+	var (
+		local  anomaly.Detector
+		execMs func(frames int) float64
+		remote Remote
+	)
+	switch {
+	case l == hec.LayerIoT:
+		if local, execMs = d.localState(); local == nil {
+			return fmt.Errorf("cluster: device has no local detector")
 		}
 		if err := ctx.Err(); err != nil {
-			return anomaly.Verdict{}, 0, 0, fmt.Errorf("cluster: local detection abandoned: %w", err)
+			return fmt.Errorf("cluster: local detection abandoned: %w", err)
 		}
-		v, err := local.Detect(frames)
+	case l < 0 || l >= hec.NumLayers:
+		return fmt.Errorf("cluster: layer %d out of range", int(l))
+	default:
+		if remote = d.Remotes[l]; remote == nil {
+			return fmt.Errorf("cluster: no connection to layer %v", l)
+		}
+	}
+	if len(idx) == 1 {
+		i := idx[0]
+		if remote != nil {
+			res, err := remote.DetectContext(ctx, windows[i])
+			if err != nil {
+				return fmt.Errorf("cluster: detection at %v: %w", l, err)
+			}
+			outs[i].fold(l, res.Verdict, res.ExecMs, res.NetMs)
+			return nil
+		}
+		v, err := local.Detect(windows[i])
 		if err != nil {
-			return anomaly.Verdict{}, 0, 0, fmt.Errorf("cluster: local detection: %w", err)
+			return fmt.Errorf("cluster: local detection: %w", err)
 		}
-		var exec float64
-		if execMs != nil {
-			exec = execMs(len(frames))
-		}
-		return v, exec, 0, nil
+		outs[i].fold(l, v, localExec(execMs, windows[i]), 0)
+		return nil
 	}
-	if l < 0 || l >= hec.NumLayers {
-		return anomaly.Verdict{}, 0, 0, fmt.Errorf("cluster: layer %d out of range", int(l))
+	group := make([][][]float64, len(idx))
+	for k, i := range idx {
+		group[k] = windows[i]
 	}
-	r := d.Remotes[l]
-	if r == nil {
-		return anomaly.Verdict{}, 0, 0, fmt.Errorf("cluster: no connection to layer %v", l)
-	}
-	res, err := r.DetectContext(ctx, frames)
-	if err != nil {
-		return anomaly.Verdict{}, 0, 0, fmt.Errorf("cluster: detection at %v: %w", l, err)
-	}
-	return res.Verdict, res.ExecMs, res.NetMs, nil
-}
-
-// Fixed detects at exactly one layer (the paper's IoT/Edge/Cloud baselines).
-func (d *Device) Fixed(ctx context.Context, l hec.Layer, frames [][]float64) (Outcome, error) {
-	v, exec, netMs, err := d.detectAt(ctx, l, frames)
-	if err != nil {
-		return Outcome{}, err
-	}
-	return Outcome{Verdict: v, Layer: l, DelayMs: exec + netMs, ExecMs: exec, NetMs: netMs}, nil
-}
-
-// Successive runs the paper's escalation baseline live: detect locally,
-// then escalate to the edge and then the cloud until a confident verdict.
-// The delay accumulates the (simulated) execution time of every layer tried
-// plus the (measured) network time of every offload — in particular the
-// cloud path still pays for the edge attempt. A ctx cancelled mid-ladder
-// aborts before the next escalation.
-func (d *Device) Successive(ctx context.Context, frames [][]float64) (Outcome, error) {
-	var execSum, netSum float64
-	for l := hec.Layer(0); l < hec.NumLayers; l++ {
-		v, exec, netMs, err := d.detectAt(ctx, l, frames)
+	if remote == nil {
+		vs, err := anomaly.DetectAll(local, group)
 		if err != nil {
-			return Outcome{}, err
+			return fmt.Errorf("cluster: local batch detection: %w", err)
 		}
-		execSum += exec
-		netSum += netMs
-		if v.Confident || l == hec.NumLayers-1 {
-			return Outcome{Verdict: v, Layer: l, DelayMs: execSum + netSum, ExecMs: execSum, NetMs: netSum}, nil
+		for k, i := range idx {
+			outs[i].fold(l, vs[k], localExec(execMs, group[k]), 0)
 		}
+		return nil
 	}
-	return Outcome{}, fmt.Errorf("cluster: successive scheme fell through")
+	res, err := remote.DetectBatchContext(ctx, group)
+	if err != nil {
+		return fmt.Errorf("cluster: batch detection at %v: %w", l, err)
+	}
+	if len(res.Verdicts) != len(idx) || len(res.ExecMsEach) != len(idx) {
+		return fmt.Errorf("cluster: batch detection at %v: reply carries %d verdicts / %d exec times for %d windows (%w)",
+			l, len(res.Verdicts), len(res.ExecMsEach), len(idx), transport.ErrRemote)
+	}
+	netShare := res.NetMs / float64(len(idx))
+	for k, i := range idx {
+		outs[i].fold(l, res.Verdicts[k], res.ExecMsEach[k], netShare)
+	}
+	return nil
 }
 
 // policyLayer runs the policy on the window's context and returns the
@@ -284,61 +325,104 @@ func (d *Device) policyLayer(frames [][]float64, worst bool) (hec.Layer, error) 
 	return hec.Layer(best), nil
 }
 
-// Adaptive is the paper's proposed scheme live: the trained policy picks the
-// layer, the device dispatches there, and the policy's own execution cost is
-// charged to the delay.
-func (d *Device) Adaptive(ctx context.Context, frames [][]float64) (Outcome, error) {
-	l, err := d.policyLayer(frames, false)
-	if err != nil {
-		return Outcome{}, err
-	}
-	out, err := d.Fixed(ctx, l, frames)
-	if err != nil {
-		return Outcome{}, err
-	}
-	out.DelayMs += d.PolicyOverheadMs
-	return out, nil
-}
-
-// Pathological is the adversarial validation mode: it pays the same policy
-// overhead as Adaptive but routes every window to the policy's least-
-// preferred layer (or always the cloud without a policy). A healthy live
-// metrics pipeline must show it losing to Adaptive on delay and reward.
-func (d *Device) Pathological(ctx context.Context, frames [][]float64) (Outcome, error) {
-	l := hec.LayerCloud
-	if d.Policy != nil && d.Extractor != nil {
-		var err error
-		l, err = d.policyLayer(frames, true)
-		if err != nil {
-			return Outcome{}, err
-		}
-	}
-	out, err := d.Fixed(ctx, l, frames)
-	if err != nil {
-		return Outcome{}, err
-	}
-	out.DelayMs += d.PolicyOverheadMs
-	return out, nil
-}
-
-// Run dispatches one window under the given scheme. Cancelling ctx aborts
-// the dispatch (including remote waits and injected link delays) with an
-// error satisfying errors.Is(err, ctx.Err()).
-func (d *Device) Run(ctx context.Context, s Scheme, frames [][]float64) (Outcome, error) {
+// run dispatches windows[i] for every i in idx under scheme s and writes
+// the outcome to outs[i], which must start zeroed. It may reorder idx. The
+// schemes:
+//
+//   - IoT, Edge and Cloud (the paper's fixed baselines) judge every window
+//     at one layer.
+//   - Successive judges every window locally, then escalates the
+//     unconfident ones to the edge and the still-unconfident remainder to
+//     the cloud, one group per stage.
+//   - Adaptive routes each window to the trained policy's most-preferred
+//     layer; Pathological, the adversarial validation mode, to its least-
+//     preferred one (always the cloud without a policy), so a healthy
+//     metrics pipeline must show it losing to Adaptive. The windows are
+//     grouped per layer and both pay the policy's overhead.
+//
+// A cancelled ctx aborts before the next dispatch.
+func (d *Device) run(ctx context.Context, s Scheme, windows [][][]float64, idx []int, outs []Outcome) error {
 	switch s {
 	case SchemeIoT:
-		return d.Fixed(ctx, hec.LayerIoT, frames)
+		return d.judge(ctx, hec.LayerIoT, windows, idx, outs)
 	case SchemeEdge:
-		return d.Fixed(ctx, hec.LayerEdge, frames)
+		return d.judge(ctx, hec.LayerEdge, windows, idx, outs)
 	case SchemeCloud:
-		return d.Fixed(ctx, hec.LayerCloud, frames)
+		return d.judge(ctx, hec.LayerCloud, windows, idx, outs)
 	case SchemeSuccessive:
-		return d.Successive(ctx, frames)
-	case SchemeAdaptive:
-		return d.Adaptive(ctx, frames)
-	case SchemePathological:
-		return d.Pathological(ctx, frames)
+		for l := hec.LayerIoT; l < hec.NumLayers && len(idx) > 0; l++ {
+			if err := d.judge(ctx, l, windows, idx, outs); err != nil {
+				return err
+			}
+			unsure := idx[:0]
+			for _, i := range idx {
+				if !outs[i].Verdict.Confident {
+					unsure = append(unsure, i)
+				}
+			}
+			idx = unsure
+		}
+		return nil
+	case SchemeAdaptive, SchemePathological:
+		worst := s == SchemePathological
+		for _, i := range idx {
+			l := hec.LayerCloud
+			if !worst || (d.Policy != nil && d.Extractor != nil) {
+				var err error
+				if l, err = d.policyLayer(windows[i], worst); err != nil {
+					return err
+				}
+			}
+			outs[i].Layer = l
+		}
+		slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(outs[a].Layer, outs[b].Layer) })
+		for rest := idx; len(rest) > 0; {
+			l, n := outs[rest[0]].Layer, 1
+			for n < len(rest) && outs[rest[n]].Layer == l {
+				n++
+			}
+			if err := d.judge(ctx, l, windows, rest[:n], outs); err != nil {
+				return err
+			}
+			rest = rest[n:]
+		}
+		for _, i := range idx {
+			outs[i].DelayMs += d.PolicyOverheadMs
+		}
+		return nil
 	default:
-		return Outcome{}, fmt.Errorf("cluster: unknown scheme %d", int(s))
+		return fmt.Errorf("cluster: unknown scheme %d", int(s))
 	}
+}
+
+// Run dispatches one window under the given scheme: a batch of one, sent
+// as per-window requests. Cancelling ctx aborts the dispatch (including
+// remote waits and injected link delays) with an error satisfying
+// errors.Is(err, ctx.Err()).
+func (d *Device) Run(ctx context.Context, s Scheme, frames [][]float64) (Outcome, error) {
+	windows, idx, outs := [1][][]float64{frames}, [1]int{}, [1]Outcome{}
+	if err := d.run(ctx, s, windows[:], idx[:], outs[:]); err != nil {
+		return Outcome{}, err
+	}
+	return outs[0], nil
+}
+
+// RunBatch dispatches a batch of windows under the given scheme, returning
+// one outcome per window in input order. Verdicts and layer choices match
+// Run's; each tier stage ships its group of windows as one request, with
+// the network time shared across the group. ctx follows Run's contract,
+// covering every staged dispatch the batch performs.
+func (d *Device) RunBatch(ctx context.Context, s Scheme, windows [][][]float64) ([]Outcome, error) {
+	if len(windows) == 0 {
+		return nil, nil
+	}
+	idx := make([]int, len(windows))
+	for i := range idx {
+		idx[i] = i
+	}
+	outs := make([]Outcome, len(windows))
+	if err := d.run(ctx, s, windows, idx, outs); err != nil {
+		return nil, err
+	}
+	return outs, nil
 }

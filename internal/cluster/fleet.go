@@ -385,7 +385,7 @@ func mixSeed(vs ...int64) int64 {
 
 // runCohortDevice is one cohort member's run: rounds passes over the
 // sample set from a device-specific offset, paced by the cohort's
-// pattern, dispatching per window or per batch.
+// pattern, dispatching groups of max(1, batch) windows.
 func runCohortDevice(ctx context.Context, dev *Device, samples []hec.Sample, p cohortPlan, ci, w int, seed int64, base time.Duration, start time.Time, windows *atomic.Int64) (*workerStats, error) {
 	ws := &workerStats{}
 	var offset int
@@ -395,41 +395,12 @@ func runCohortDevice(ctx context.Context, dev *Device, samples []hec.Sample, p c
 		rng := rand.New(rand.NewSource(mixSeed(seed, int64(ci), int64(w))))
 		offset = rng.Intn(len(samples))
 	}
+	size := max(1, p.batch)
+	wins, labels := make([][][]float64, size), make([]bool, size)
+	idx, outs := make([]int, size), make([]Outcome, size)
 	done := ctx.Done()
 	for r := 0; r < p.rounds; r++ {
-		if p.batch > 1 {
-			for k := 0; k < len(samples); k += p.batch {
-				select {
-				case <-done:
-					return nil, ctx.Err()
-				default:
-				}
-				if err := pace(ctx, p.pattern, base, start); err != nil {
-					return nil, err
-				}
-				end := k + p.batch
-				if end > len(samples) {
-					end = len(samples)
-				}
-				wins := make([][][]float64, end-k)
-				labels := make([]bool, end-k)
-				for j := range wins {
-					s := samples[(offset+k+j)%len(samples)]
-					wins[j] = s.Frames
-					labels[j] = s.Label
-				}
-				outs, err := dev.RunBatch(ctx, p.scheme, wins)
-				if err != nil {
-					return nil, fmt.Errorf("cluster: cohort %q device %d batch at %d: %w", p.label, w, k, err)
-				}
-				for j, out := range outs {
-					ws.account(out, labels[j], p.alpha)
-					windows.Add(1)
-				}
-			}
-			continue
-		}
-		for k := range samples {
+		for k := 0; k < len(samples); k += size {
 			select {
 			case <-done:
 				return nil, ctx.Err()
@@ -438,13 +409,19 @@ func runCohortDevice(ctx context.Context, dev *Device, samples []hec.Sample, p c
 			if err := pace(ctx, p.pattern, base, start); err != nil {
 				return nil, err
 			}
-			s := samples[(offset+k)%len(samples)]
-			out, err := dev.Run(ctx, p.scheme, s.Frames)
-			if err != nil {
+			n := min(size, len(samples)-k)
+			for j := 0; j < n; j++ {
+				s := samples[(offset+k+j)%len(samples)]
+				wins[j], labels[j], idx[j] = s.Frames, s.Label, j
+			}
+			clear(outs[:n])
+			if err := dev.run(ctx, p.scheme, wins[:n], idx[:n], outs[:n]); err != nil {
 				return nil, fmt.Errorf("cluster: cohort %q device %d window %d: %w", p.label, w, k, err)
 			}
-			ws.account(out, s.Label, p.alpha)
-			windows.Add(1)
+			for j, out := range outs[:n] {
+				ws.account(out, labels[j], p.alpha)
+				windows.Add(1)
+			}
 		}
 	}
 	return ws, nil

@@ -238,10 +238,10 @@ func (r *replica) closePool() {
 	}
 }
 
-// ReplicaSet fans one tier's traffic across N replicas. It satisfies the
-// cluster runtime's Remote and BatchRemote interfaces, so a Device (or a
-// Session) pointed at a ReplicaSet gets failover and load-aware routing
-// without knowing either exists. Safe for concurrent use.
+// ReplicaSet fans one tier's traffic across N replicas. As the cluster
+// runtime's Remote (OpDetect for a group of one window, OpDetectBatch for
+// more), it gives a Device or Session failover and load-aware routing
+// without either knowing it exists. Safe for concurrent use.
 //
 // Membership is dynamic: Add and Remove grow and shrink the set while
 // requests are in flight (Remove drains — new work stops routing there,

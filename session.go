@@ -63,9 +63,11 @@ func ParseScheme(name string) (Scheme, error) {
 }
 
 // Remote is a connection to a remote tier's detection service, as accepted
-// by WithRemote. *transport.Client and *transport.Pool satisfy it; remotes
-// that additionally implement the batch RPC (both do) get one request per
-// DetectBatch call instead of one per window.
+// by WithRemote. *transport.Client and *transport.Pool satisfy it. A custom
+// remote must implement both methods: a tier group of one window (every
+// Detect call) goes through DetectContext, a larger group of a DetectBatch
+// call through one DetectBatchContext request, whose reply must carry one
+// verdict and one execution time per window.
 type Remote = cluster.Remote
 
 // RoutingPolicy picks which replica of a multi-replica tier serves each
@@ -764,8 +766,3 @@ func (r localRemote) DetectBatchContext(ctx context.Context, windows [][][]float
 // The public scheme constants are pinned to the cluster runtime's ordinals
 // (Session converts by integer cast); a unit test asserts the mapping.
 var _ = [1]struct{}{}[int(SchemePathological)-int(cluster.SchemePathological)]
-
-// A replica set must keep satisfying the cluster runtime's batch-capable
-// remote shape, or multi-replica tiers would silently lose the one-RPC-
-// per-batch path.
-var _ cluster.BatchRemote = (*routing.ReplicaSet)(nil)
